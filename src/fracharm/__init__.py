@@ -10,11 +10,11 @@ bounds are exercised, never assumed.
 
 __version__ = "0.1.0"
 
-from .atoms import Atom, AtomicSum, envelope_norm, hardy_quasinorm, random_atomic_family
+from .atoms import Atom, AtomicSum, hardy_quasinorm, random_atomic_family
 from .config import ConfigError, CorpusSpec, ExperimentConfig
 from .experiments import EXPERIMENTS, HypothesisError, run_experiment
 from .grid import Cube, DyadicFamily, GridFunction, dyadic_cubes, integrate, weighted_lp_quasinorm
-from .kernels import KenigSteinKernel, KernelSpec, PerturbedKernel, apply_frac_operator
+from .kernels import KenigSteinKernel, KernelSpec, apply_frac_operator
 from .maximal import MaximalConfig, Mollifier, frac_maximal, grand_maximal, hl_maximal
 from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
 from .varexp import ExponentFunction, derive_system, luxemburg_norm, modular
@@ -39,7 +39,6 @@ __all__ = [
     "KernelSpec",
     "MaximalConfig",
     "Mollifier",
-    "PerturbedKernel",
     "RatioReport",
     "TrialRow",
     "Weight",
@@ -48,7 +47,6 @@ __all__ = [
     "apq_constant",
     "derive_system",
     "dyadic_cubes",
-    "envelope_norm",
     "frac_maximal",
     "grand_maximal",
     "hardy_quasinorm",

@@ -8,14 +8,16 @@ the moment cancellation is exact to rounding rather than an O(h^2) artifact
 of sampling continuum polynomials.
 
 The Hardy quasi-norm composes the smooth maximal function with the weighted
-L^p quasi-norm.  The envelope norm replaces each atom by its coefficient
-times the cube indicator, a pointwise majorant of the sum; comparing the two
-is the control that makes atomic test functions usable as H^p inputs.
+L^p quasi-norm.  The envelope of a sum replaces each atom by its coefficient
+times the cube indicator, a pointwise majorant of the sum; comparing the norms
+of the two is the control that makes atomic test functions usable as H^p
+inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +33,9 @@ __all__ = [
     "make_atom",
     "moment",
     "hardy_quasinorm",
-    "envelope_norm",
     "random_atomic_family",
+    "random_coefficient",
+    "random_cube",
     "load_atomic_sum",
 ]
 
@@ -237,10 +240,29 @@ def hardy_quasinorm(f: GridFunction, p: float, w: Weight | None,
     return weighted_lp_quasinorm(mf, p, wg)
 
 
-def envelope_norm(s: AtomicSum, p: float, w: Weight | None = None) -> float:
-    """Weighted L^p quasi-norm of the indicator envelope of the sum."""
-    wg = None if w is None else w.sample(s.envelope.box, s.envelope.h)
-    return weighted_lp_quasinorm(s.envelope, p, wg)
+def random_cube(rng, box, h: float, side_exponents,
+                margin: float | None = None) -> Cube:
+    """The corpus placement law: a dyadic side 2**j with j uniform in
+    ``side_exponents``, then per axis a grid-aligned corner kept ``margin``
+    (default a quarter of the shortest box side) inside the box."""
+    if margin is None:
+        margin = min(hi - lo for lo, hi in box) / 4.0
+    side = 2.0 ** int(rng.integers(side_exponents[0], side_exponents[1] + 1))
+    n_side = round(side / h)
+    first = math.ceil(margin / h)
+    center = []
+    for lo, hi in box:
+        last = round((hi - lo) / h) - n_side - first
+        if last < first:
+            raise ValueError("box too small for the cube sides and margin")
+        corner = lo + h * int(rng.integers(first, last + 1))
+        center.append(corner + side / 2.0)
+    return Cube(tuple(center), side)
+
+
+def random_coefficient(rng, lambda_range) -> float:
+    """Log-uniform coefficient in ``lambda_range``."""
+    return float(np.exp(rng.uniform(np.log(lambda_range[0]), np.log(lambda_range[1]))))
 
 
 def random_atomic_family(seed: int, count: int, *, box, h: float,
@@ -253,38 +275,23 @@ def random_atomic_family(seed: int, count: int, *, box, h: float,
     of the shortest box side) so the smooth maximal function has room.
     """
     zero = GridFunction.zeros(box, h)
-    dim = zero.dim
     j_lo, j_hi = int(side_exponents[0]), int(side_exponents[1])
     if j_lo > j_hi:
         raise ValueError("side exponent range is empty")
     if 2.0 ** j_lo < (order + 2) * h:
         raise ValueError("smallest cube side has too few cells for the order")
-    lam_lo, lam_hi = lambda_range
-    if not 0 < lam_lo <= lam_hi:
+    if not 0 < lambda_range[0] <= lambda_range[1]:
         raise ValueError("coefficient range must be positive")
-    if margin is None:
-        margin = min(bh - bl for bl, bh in zero.box) / 4.0
 
     rng = np.random.default_rng(seed)
     atoms = []
     lambdas = []
     for _ in range(count):
-        side = 2.0 ** int(rng.integers(j_lo, j_hi + 1))
-        center = []
-        for axis in range(dim):
-            lo, hi = zero.box[axis]
-            n_side = round(side / h)
-            first = int(np.ceil(margin / h))
-            last = zero.samples.shape[axis] - n_side - first
-            if last < first:
-                raise ValueError("box too small for the cube sides and margin")
-            corner = lo + h * int(rng.integers(first, last + 1))
-            center.append(corner + side / 2.0)
-        cube = Cube(tuple(center), side)
+        cube = random_cube(rng, zero.box, h, (j_lo, j_hi), margin)
         sels = _axis_selection(zero, cube)
         prof = np.zeros_like(zero.samples)
         shape = tuple(s.size for s in sels)
         prof[np.ix_(*sels)] = rng.uniform(-1.0, 1.0, size=shape)
         atoms.append(make_atom(zero.with_samples(prof), cube, order))
-        lambdas.append(float(np.exp(rng.uniform(np.log(lam_lo), np.log(lam_hi)))))
+        lambdas.append(random_coefficient(rng, lambda_range))
     return AtomicSum.build(lambdas, atoms, box=box, h=h, seed=seed)

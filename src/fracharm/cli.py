@@ -120,17 +120,7 @@ def _cmd_verify(args) -> int:
     write_trials_csv(csv_path, report.trial_rows())
 
     verdict = "PASS" if report.passed else "FAIL"
-    if hasattr(report, "max_ratio"):
-        detail = (f"max_ratio={report.max_ratio:.6g} "
-                  f"mean_ratio={report.mean_ratio:.6g} "
-                  f"slope={report.slope:.3g} rows={len(report.rows)}")
-    elif hasattr(report, "final_constant"):
-        detail = (f"final={report.final_constant:.6g} "
-                  f"steps={len(report.steps)}")
-    else:
-        detail = (f"lower={report.lower:.6g} upper={report.upper:.6g} "
-                  f"partition={report.partition_ok}")
-    print(f"{args.experiment}: {verdict} {detail} -> {report_path}")
+    print(f"{args.experiment}: {verdict} {report.summary()} -> {report_path}")
     return 0 if report.passed else 1
 
 
@@ -250,3 +240,7 @@ def cli_main(argv=None) -> int:
 
 def main():  # console-script entry point
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

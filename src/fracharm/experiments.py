@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import hardy_quasinorm, random_atomic_family
+from .atoms import hardy_quasinorm, random_atomic_family, random_coefficient, random_cube
 from .config import ExperimentConfig
 from .grid import Cube, GridFunction, integrate, weighted_lp_quasinorm
 from .kernels import (
@@ -38,7 +37,7 @@ from .kernels import (
 from .maximal import Mollifier, frac_maximal, grand_maximal, hl_maximal, iterated_maximal
 from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
 from .varexp import (
-    ExponentFunction,
+    _reciprocal_target,
     derive_system,
     dual_witness,
     log_holder_estimate,
@@ -106,22 +105,22 @@ def _map_trials(fn, count: int):
         return list(ex.map(fn, range(count)))
 
 
-def _scaled_box(box, k: int):
-    s = 2.0 ** k
-    return tuple((lo * s, hi * s) for lo, hi in box)
-
-
-def _scaled_function(g: GridFunction, k: int) -> GridFunction:
+def _dilated(obj, k: int):
+    """A box, cube or grid function dilated by 2**k about the origin."""
     if k == 0:
-        return g
-    return GridFunction(_scaled_box(g.box, k), g.h * 2.0 ** k, g.samples)
-
-
-def _scaled_cube(c: Cube, k: int) -> Cube:
-    if k == 0:
-        return c
+        return obj
     s = 2.0 ** k
-    return Cube(tuple(x * s for x in c.center), c.side * s)
+    if isinstance(obj, Cube):
+        return obj.scaled(s, about=(0.0,) * obj.dim)
+    if isinstance(obj, GridFunction):
+        return GridFunction(_dilated(obj.box, k), obj.h * s, obj.samples)
+    return tuple((lo * s, hi * s) for lo, hi in obj)
+
+
+def _sweep(cfg: ExperimentConfig, ks=None):
+    """(k, box_k, h_k) for each dilation exponent, by default the configured sweep."""
+    for k in cfg.sweep if ks is None else ks:
+        yield k, _dilated(cfg.box, k), cfg.h * 2.0 ** k
 
 
 def _mollifier_for(box, h: float) -> Mollifier:
@@ -148,40 +147,21 @@ def _subseed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class _CubeFamily:
-    cubes: tuple
-    lambdas: tuple
+def _atom_count(cfg: ExperimentConfig, rng) -> int:
+    return int(rng.integers(cfg.corpus.atoms_per_trial[0],
+                            cfg.corpus.atoms_per_trial[1] + 1))
 
 
-def _random_cube_family(rng, count: int, *, box, h: float, side_exponents,
-                        lambda_range, margin: float | None = None) -> _CubeFamily:
-    """Dyadic-side cubes with grid-aligned corners, kept margin-deep in the
-    box, with log-uniform coefficients.  Mirrors the atomic corpus law."""
-    dim = len(box)
-    if margin is None:
-        margin = min(hi - lo for lo, hi in box) / 4.0
-    j0, j1 = int(side_exponents[0]), int(side_exponents[1])
-    shape = tuple(int(round((hi - lo) / h)) for lo, hi in box)
-    cubes = []
-    lambdas = []
+def _indicator_corpus(cfg: ExperimentConfig, rng, count: int | None = None):
+    """Cubes and coefficients under the atomic placement law; the count is
+    drawn from atoms_per_trial unless given."""
+    if count is None:
+        count = _atom_count(cfg, rng)
+    cubes, lambdas = [], []
     for _ in range(count):
-        side = 2.0 ** int(rng.integers(j0, j1 + 1))
-        center = []
-        for axis in range(dim):
-            lo, hi = box[axis]
-            n_side = round(side / h)
-            first = int(math.ceil(margin / h))
-            last = shape[axis] - n_side - first
-            if last < first:
-                raise HypothesisError(
-                    "box too small for the configured cube sides and margin")
-            corner = lo + h * int(rng.integers(first, last + 1))
-            center.append(corner + side / 2.0)
-        cubes.append(Cube(tuple(center), side))
-        lambdas.append(float(np.exp(rng.uniform(np.log(lambda_range[0]),
-                                                np.log(lambda_range[1])))))
-    return _CubeFamily(tuple(cubes), tuple(lambdas))
+        cubes.append(random_cube(rng, cfg.box, cfg.h, cfg.corpus.side_exponents))
+        lambdas.append(random_coefficient(rng, cfg.corpus.lambda_range))
+    return cubes, lambdas
 
 
 def _indicator_sum(cubes, lambdas, box, h: float, *, star: bool = False,
@@ -243,6 +223,39 @@ def _dilation_drift(rows) -> float:
     return worst
 
 
+def _ratio_report(name: str, cfg: ExperimentConfig, one_trial, metadata) -> RatioReport:
+    """Map one_trial over the corpus, flatten its rows in trial order and
+    score them.  ``metadata()`` runs once every trial is done, so it can read
+    the side-records the trials fill in."""
+    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
+    meta = dict(metadata(), dilation_drift=_dilation_drift(rows))
+    return RatioReport.from_rows(name, rows, cfg.slope_tol, meta)
+
+
+def _slots(cfg: ExperimentConfig, *, bounded: int | None = None,
+           constant: bool = True):
+    """Check the slot structure the operator runs share: m, the m*n cost cap,
+    0 < gamma < (m - l) * n over the l = ``bounded`` sup-norm slots, one
+    exponent per atomic slot, and constant exponents when asked.  Returns
+    (m, n, gamma)."""
+    _require(cfg.m is not None and cfg.m >= 1, "this run needs m")
+    m, n = cfg.m, cfg.n
+    _require(m * n <= 4, "m*n above 4 is outside the desk-scale cost cap")
+    l = 0
+    if bounded is not None:
+        l = bounded
+        _require(1 <= l < m, "need 1 <= bounded_slots < m")
+    cap = (m - l) * n
+    _require(cfg.gamma is not None and 0 < cfg.gamma < cap,
+             "need 0 < gamma < (m - l) * n, l the number of bounded slots",
+             {"gamma": cfg.gamma, "cap": cap})
+    _require(len(cfg.exponents) == m - l, "need one exponent per atomic slot")
+    if constant:
+        _require(all(e.kind == "constant" for e in cfg.exponents),
+                 "this run needs constant exponents")
+    return m, n, cfg.gamma
+
+
 # -- cube-sum bound: dilated indicators with a side-power gain ---------------------
 
 
@@ -266,21 +279,14 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
     unit = _is_unit(w)
 
     def one_trial(t: int):
-        rng = np.random.default_rng([cfg.corpus.seed, 1, t])
-        count = int(rng.integers(cfg.corpus.atoms_per_trial[0],
-                                 cfg.corpus.atoms_per_trial[1] + 1))
-        fam = _random_cube_family(rng, count, box=cfg.box, h=cfg.h,
-                                  side_exponents=cfg.corpus.side_exponents,
-                                  lambda_range=cfg.corpus.lambda_range,
-                                  margin=margin)
+        cubes, lambdas = _indicator_corpus(
+            cfg, np.random.default_rng([cfg.corpus.seed, 1, t]))
         rows = []
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            cubes_k = [_scaled_cube(c, k) for c in fam.cubes]
-            f_lhs = _indicator_sum(cubes_k, fam.lambdas, box_k, h_k,
+        for k, box_k, h_k in _sweep(cfg):
+            cubes_k = [_dilated(c, k) for c in cubes]
+            f_lhs = _indicator_sum(cubes_k, lambdas, box_k, h_k,
                                    star=True, side_power=gamma)
-            f_rhs = _indicator_sum(cubes_k, fam.lambdas, box_k, h_k)
+            f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
             w_qp = None if unit else w.pow(q / p).sample(box_k, h_k)
             w_p = None if unit else w.sample(box_k, h_k)
             lhs = weighted_lp_quasinorm(f_lhs, q, w_qp)
@@ -288,14 +294,11 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
-    metadata = {
+    return _ratio_report("star-sum", cfg, one_trial, lambda: {
         "p": p, "q": q, "gamma": gamma, "n": n,
         "weight": w.descriptor(),
         "rh": rh.to_json_dict(),
-        "dilation_drift": _dilation_drift(rows),
-    }
-    return RatioReport.from_rows("star-sum", rows, cfg.slope_tol, metadata)
+    })
 
 
 # -- tail-sum bound: off-star power tails with an analytic remainder ---------------
@@ -348,28 +351,19 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
     mult = 1.0 if desc["kind"] == "constant" else desc.get("multiplier", 1.0)
     w_gain = mult ** (q / p)
 
-    margin = min(hi - lo for lo, hi in cfg.box) / 4.0
     unit = _is_unit(w)
     tail_shares = [0.0] * cfg.corpus.count
 
     def one_trial(t: int):
-        rng = np.random.default_rng([cfg.corpus.seed, 2, t])
-        count = int(rng.integers(cfg.corpus.atoms_per_trial[0],
-                                 cfg.corpus.atoms_per_trial[1] + 1))
-        fam = _random_cube_family(rng, count, box=cfg.box, h=cfg.h,
-                                  side_exponents=cfg.corpus.side_exponents,
-                                  lambda_range=cfg.corpus.lambda_range,
-                                  margin=margin)
+        cubes, lambdas = _indicator_corpus(
+            cfg, np.random.default_rng([cfg.corpus.seed, 2, t]))
         rows = []
-        for k in cfg.sweep:
-            s = 2.0 ** k
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * s
-            cubes_k = [_scaled_cube(c, k) for c in fam.cubes]
+        for k, box_k, h_k in _sweep(cfg):
+            cubes_k = [_dilated(c, k) for c in cubes]
             zero = GridFunction.zeros(box_k, h_k)
             x = zero.coords()[..., 0]
             acc = np.zeros_like(x)
-            for cube, lam in zip(cubes_k, fam.lambdas):
+            for cube, lam in zip(cubes_k, lambdas):
                 outside = ~cube.star().contains(zero.coords())
                 d = np.where(outside, np.abs(x - cube.center[0]), 1.0)
                 acc = acc + (lam * cube.side ** eps) * outside * d ** (gamma - eps)
@@ -379,9 +373,9 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
 
             # beyond the box: per-cube closed-form bound, using
             # |x|^b <= theta^b * |x - c|^b on each side of the box
-            lo_k, hi_k = lo_box * s, hi_box * s
+            lo_k, hi_k = box_k[0]
             tail_terms = []
-            for cube, lam in zip(cubes_k, fam.lambdas):
+            for cube, lam in zip(cubes_k, lambdas):
                 c = cube.center[0]
                 amp = lam * cube.side ** eps
                 for dist, edge in ((hi_k - c, abs(hi_k)), (c - lo_k, abs(lo_k))):
@@ -394,7 +388,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
             total = (lhs_win ** q + sum(tail_terms)) ** (1.0 / q)
             tail_part = total - lhs_win
 
-            f_rhs = _indicator_sum(cubes_k, fam.lambdas, box_k, h_k)
+            f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
             w_p = None if unit else w.sample(box_k, h_k)
             rhs = weighted_lp_quasinorm(f_rhs, p, w_p)
             rows.append(TrialRow.make(t, k, total, rhs))
@@ -402,16 +396,13 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
                 tail_shares[t] = tail_part / total
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
-    metadata = {
+    return _ratio_report("tail-sum", cfg, one_trial, lambda: {
         "p": p, "q": q, "gamma": gamma, "epsilon": eps, "r": r,
         "weight": w.descriptor(),
         "ap": ap.to_json_dict(),
         "tail_decay": a,
         "max_tail_share": max(tail_shares),
-        "dilation_drift": _dilation_drift(rows),
-    }
-    return RatioReport.from_rows("tail-sum", rows, cfg.slope_tol, metadata)
+    })
 
 
 # -- annular tiling of a cube-star complement --------------------------------------
@@ -469,7 +460,6 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     _require(cfg.n == 1, "the annular band is exact only in dimension one")
     _require(cfg.s is not None and cfg.s > 0, "this run needs a decay s > 0")
     s = cfg.s
-    margin = min(hi - lo for lo, hi in cfg.box) / 4.0
     _require(2.0 ** cfg.corpus.side_exponents[0] >= 4.0 * cfg.h,
              "smallest cube side needs at least four cells")
 
@@ -479,21 +469,16 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     partition_all = True
     per_k_bounds: dict = {}
 
-    rng = np.random.default_rng([cfg.corpus.seed, 3])
-    fam = _random_cube_family(rng, cfg.corpus.count, box=cfg.box, h=cfg.h,
-                              side_exponents=cfg.corpus.side_exponents,
-                              lambda_range=cfg.corpus.lambda_range,
-                              margin=margin)
+    cubes, _ = _indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 3]),
+                                 cfg.corpus.count)
 
     def fold(store, key, lo, hi):
         cur = store.get(key)
         store[key] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
 
-    for j, cube in enumerate(fam.cubes):
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            pieces, part_ok = _annuli_scan(_scaled_cube(cube, k), box_k, h_k, s)
+    for j, cube in enumerate(cubes):
+        for k, box_k, h_k in _sweep(cfg):
+            pieces, part_ok = _annuli_scan(_dilated(cube, k), box_k, h_k, s)
             partition_all = partition_all and part_ok
             for level, lo, hi in pieces:
                 rows.append(TrialRow.make(j, k, lo, hi))
@@ -512,7 +497,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     # fixed-grid doubling: same box and h, cubes twice the side
     doubled_ok = True
     dbl_lo, dbl_hi = math.inf, -math.inf
-    for cube in fam.cubes:
+    for cube in cubes:
         big = Cube(cube.center, cube.side * 2.0)
         try:
             pieces, part_ok = _annuli_scan(big, cfg.box, cfg.h, s)
@@ -532,7 +517,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     passed = (partition_all and doubled_ok and in_band
               and scale_drift <= 0.02 and doubling_drift <= 0.02)
     metadata = {
-        "cubes": [c.descriptor() for c in fam.cubes],
+        "cubes": [c.descriptor() for c in cubes],
         "doubling_drift": doubling_drift,
         "per_scale": {str(k): list(v) for k, v in sorted(per_k_bounds.items())},
     }
@@ -558,39 +543,22 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
 
     offdiag = cfg.gamma is not None
     if offdiag:
-        gamma, n = cfg.gamma, cfg.n
-        _require(1.0 / p - gamma / n > 0, "need 1/p > gamma/n for the pairing")
-        q = 1.0 / (1.0 / p - gamma / n)
-        if cfg.q is not None:
-            _require(abs(cfg.q - q) <= 1e-9 * q,
-                     "q must satisfy 1/q = 1/p - gamma/n")
+        gamma = cfg.gamma
+        _, q = _lebesgue_pair(cfg)
         apq = apq_constant(w, p, q, family)
         _require(apq.stable, "weight fails off-diagonal stability",
                  {"apq": apq.to_json_dict()})
 
-    margin = min(hi - lo for lo, hi in cfg.box) / 4.0
     unit = _is_unit(w)
     count = cfg.corpus.count
 
     def one_trial(t: int):
-        fams = []
-        for j in range(K):
-            rng = np.random.default_rng([cfg.corpus.seed, 4, t, j])
-            cnt = int(rng.integers(cfg.corpus.atoms_per_trial[0],
-                                   cfg.corpus.atoms_per_trial[1] + 1))
-            fams.append(_random_cube_family(
-                rng, cnt, box=cfg.box, h=cfg.h,
-                side_exponents=cfg.corpus.side_exponents,
-                lambda_range=cfg.corpus.lambda_range, margin=margin))
+        fams = [_indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 4, t, j]))
+                for j in range(K)]
         rows = []
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            fs = [
-                _indicator_sum([_scaled_cube(c, k) for c in fam.cubes],
-                               fam.lambdas, box_k, h_k)
-                for fam in fams
-            ]
+        for k, box_k, h_k in _sweep(cfg):
+            fs = [_indicator_sum([_dilated(c, k) for c in cubes], lambdas, box_k, h_k)
+                  for cubes, lambdas in fams]
             zero = GridFunction.zeros(box_k, h_k)
             lhs_stack = sum(hl_maximal(f).samples ** r for f in fs)
             rhs_stack = sum(np.abs(f.samples) ** r for f in fs)
@@ -609,20 +577,16 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
                 rows.append(TrialRow.make(count + t, k, lhs2, rhs2))
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, count) for r in rs]
     metadata = {
         "p": p, "r": r, "components": K,
         "weight": w.descriptor(),
         "ap": ap.to_json_dict(),
         "diagonal_trials": count,
         "offdiagonal_trials": count if offdiag else 0,
-        "dilation_drift": _dilation_drift(rows),
     }
     if offdiag:
-        metadata["gamma"] = cfg.gamma
-        metadata["q"] = q
-        metadata["apq"] = apq.to_json_dict()
-    return RatioReport.from_rows("fefferman-stein", rows, cfg.slope_tol, metadata)
+        metadata.update(gamma=gamma, q=q, apq=apq.to_json_dict())
+    return _ratio_report("fefferman-stein", cfg, one_trial, lambda: metadata)
 
 
 # -- the fractional operator on weighted Hardy products ----------------------------
@@ -630,15 +594,7 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
 
 def _hardy_exponent_setup(cfg: ExperimentConfig):
     """Resolve (p_i), p, q, (q_i), gamma split, weights, and moment order."""
-    _require(cfg.m is not None and cfg.m >= 1, "this run needs m")
-    m, n = cfg.m, cfg.n
-    _require(m * n <= 4, "m*n above 4 is outside the desk-scale cost cap")
-    _require(cfg.gamma is not None and 0 < cfg.gamma < m * n,
-             "need 0 < gamma < m*n")
-    gamma = cfg.gamma
-    _require(len(cfg.exponents) == m, "need one exponent per slot")
-    _require(all(e.kind == "constant" for e in cfg.exponents),
-             "this run needs constant exponents")
+    m, n, gamma = _slots(cfg)
     ps = tuple(e.p_minus for e in cfg.exponents)
     inv_p = sum(1.0 / v for v in ps)
     if cfg.p is not None:
@@ -702,9 +658,7 @@ def _wbar_sample(weights, ps, q, box, h: float):
 def _atomic_slots(cfg: ExperimentConfig, t: int, m: int, N: int):
     fams = []
     for i in range(m):
-        rng = np.random.default_rng([cfg.corpus.seed, 5, t, i])
-        cnt = int(rng.integers(cfg.corpus.atoms_per_trial[0],
-                               cfg.corpus.atoms_per_trial[1] + 1))
+        cnt = _atom_count(cfg, np.random.default_rng([cfg.corpus.seed, 5, t, i]))
         fams.append(random_atomic_family(
             _subseed(cfg.corpus.seed, 5, t, i), cnt, box=cfg.box, h=cfg.h,
             side_exponents=cfg.corpus.side_exponents,
@@ -729,24 +683,21 @@ def _pointwise_diagnostics(kernel, cfg: ExperimentConfig, gsplit, order: int,
             off = side / 4.0 * rng.uniform(-1.0, 1.0, size=n)
             cubes.append(Cube(tuple(off), side * 2.0 ** int(rng.integers(0, 2))))
         x = side / 8.0 * rng.uniform(-1.0, 1.0, size=n)
-        vals = []
-        for k in (0, 1):
-            vals.append(local_product_bound_check(
-                kernel, [_scaled_cube(cc, k) for cc in cubes], gsplit,
-                x * 2.0 ** k, box=_scaled_box(cfg.box, k), h=cfg.h * 2.0 ** k))
-        prod_vals.append(vals[0])
-        if vals[0] > 0:
-            prod_drift = max(prod_drift, abs(vals[1] / vals[0] - 1.0))
-
-        vals = []
-        for k in (0, 1):
-            cube_k = _scaled_cube(cubes[-1], k)
+        prod, tay = [], []
+        for k, box_k, h_k in _sweep(cfg, (0, 1)):
+            prod.append(local_product_bound_check(
+                kernel, [_dilated(cc, k) for cc in cubes], gsplit,
+                x * 2.0 ** k, box=box_k, h=h_k))
+            cube_k = _dilated(cubes[-1], k)
             td = taylor_polynomial(kernel, m - 1, cube_k.center, order)
-            vals.append(taylor_remainder_check(kernel, td, cube_k,
-                                               n_samples=120, seed=c))
-        tay_vals.append(vals[0])
-        if vals[0] > 0:
-            tay_drift = max(tay_drift, abs(vals[1] / vals[0] - 1.0))
+            tay.append(taylor_remainder_check(kernel, td, cube_k,
+                                              n_samples=120, seed=c))
+        prod_vals.append(prod[0])
+        if prod[0] > 0:
+            prod_drift = max(prod_drift, abs(prod[1] / prod[0] - 1.0))
+        tay_vals.append(tay[0])
+        if tay[0] > 0:
+            tay_drift = max(tay_drift, abs(tay[1] / tay[0] - 1.0))
 
     ok = (all(math.isfinite(v) for v in prod_vals + tay_vals)
           and prod_drift <= 0.10 and tay_drift <= 0.10)
@@ -771,10 +722,8 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     def one_trial(t: int):
         fams = _atomic_slots(cfg, t, m, N)
         rows = []
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            fs = [_scaled_function(f.realized, k) for f in fams]
+        for k, box_k, h_k in _sweep(cfg):
+            fs = [_dilated(f.realized, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
             wbar = _wbar_sample(weights, ps, q, box_k, h_k)
             lhs = weighted_lp_quasinorm(T, q, wbar)
@@ -785,19 +734,15 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
-    diag = _pointwise_diagnostics(kernel, cfg, gsplit, N + 1,
-                                  min(20, cfg.corpus.count))
-    metadata = {
+    return _ratio_report("frac-hardy", cfg, one_trial, lambda: {
         "p_slots": list(ps), "p": p, "q": q, "q_slots": list(qs),
         "gamma": gamma, "gamma_split": list(gsplit), "moment_order": N,
         "weights": [w.descriptor() for w in weights],
         "rh": [r.to_json_dict() for r in rh_reports],
         "rw": rws,
-        "dilation_drift": _dilation_drift(rows),
-        "diagnostics": diag,
-    }
-    return RatioReport.from_rows("frac-hardy", rows, cfg.slope_tol, metadata)
+        "diagnostics": _pointwise_diagnostics(kernel, cfg, gsplit, N + 1,
+                                              min(20, cfg.corpus.count)),
+    })
 
 
 # -- sup-norm slots at the integrability endpoint ----------------------------------
@@ -806,56 +751,37 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
 def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
     """||T(f_1..f_{m-l}, g_1..g_l)||_{L^q} against
     prod ||f_i||_{H^{p_i}} * prod sup|g_j| for bounded g_j."""
-    _require(cfg.m is not None and cfg.m >= 2, "this run needs m >= 2")
-    m, n = cfg.m, cfg.n
-    _require(m * n <= 4, "m*n above 4 is outside the desk-scale cost cap")
     l = cfg.bounded_slots
-    _require(1 <= l < m, "need 1 <= bounded_slots < m")
-    _require(cfg.gamma is not None and cfg.gamma > 0, "gamma must be positive")
-    gamma = cfg.gamma
-    _require(gamma < (m - l) * n, "need gamma < (m - l) * n",
-             {"gamma": gamma, "cap": (m - l) * n})
-    ma = m - l
-    _require(len(cfg.exponents) == ma, "need one exponent per atomic slot")
-    _require(all(e.kind == "constant" for e in cfg.exponents),
-             "this run needs constant exponents")
+    m, n, gamma = _slots(cfg, bounded=l)
     ps = tuple(e.p_minus for e in cfg.exponents)
     inv_q = sum(1.0 / v for v in ps) - gamma / n
     _require(inv_q > 0, "gamma must stay below n * sum(1/p_i)")
     q = 1.0 / inv_q
     N = cfg.moment_order or 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
-    margin = min(hi - lo for lo, hi in cfg.box) / 4.0
 
     def bounded_fn(t: int, j: int) -> GridFunction:
         rng = np.random.default_rng([cfg.corpus.seed, 7, t, j])
-        cnt = int(rng.integers(cfg.corpus.atoms_per_trial[0],
-                               cfg.corpus.atoms_per_trial[1] + 1))
-        fam = _random_cube_family(rng, cnt, box=cfg.box, h=cfg.h,
-                                  side_exponents=cfg.corpus.side_exponents,
-                                  lambda_range=cfg.corpus.lambda_range,
-                                  margin=margin)
+        cubes, lambdas = _indicator_corpus(cfg, rng)
         zero = GridFunction.zeros(cfg.box, cfg.h)
         acc = np.zeros_like(zero.samples)
         coords = zero.coords()
-        for cube, lam in zip(fam.cubes, fam.lambdas):
+        for cube, lam in zip(cubes, lambdas):
             mask = cube.contains(coords)
             vals = lam * rng.uniform(-1.0, 1.0, size=zero.samples.shape)
             acc = acc + np.where(mask, vals, 0.0)
         return zero.with_samples(acc)
 
     def one_trial(t: int):
-        fams = _atomic_slots(cfg, t, ma, N)
+        fams = _atomic_slots(cfg, t, m - l, N)
         gs = [bounded_fn(t, j) for j in range(l)]
         sup_prod = 1.0
         for g in gs:
             sup_prod *= g.sup_norm()
         rows = []
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            fs = [_scaled_function(f.realized, k) for f in fams]
-            gsk = [_scaled_function(g, k) for g in gs]
+        for k, box_k, h_k in _sweep(cfg):
+            fs = [_dilated(f.realized, k) for f in fams]
+            gsk = [_dilated(g, k) for g in gs]
             T = apply_frac_operator(kernel, fs + gsk)
             lhs = weighted_lp_quasinorm(T, q)
             mol = _mollifier_for(box_k, h_k)
@@ -865,32 +791,13 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
-    metadata = {
+    return _ratio_report("bounded-slots", cfg, one_trial, lambda: {
         "p_slots": list(ps), "q": q, "gamma": gamma,
         "bounded_slots": l, "moment_order": N,
-        "dilation_drift": _dilation_drift(rows),
-    }
-    return RatioReport.from_rows("bounded-slots", rows, cfg.slope_tol, metadata)
+    })
 
 
 # -- variable-exponent targets -----------------------------------------------------
-
-
-def _reciprocal_exponent(exponents, gamma: float, n: int) -> ExponentFunction:
-    """q(.) with 1/q(x) = sum 1/p_i(x) - gamma/n, bounds from the input bands."""
-    room = sum(1.0 / p.p_plus for p in exponents) - gamma / n
-
-    def fn(x):
-        acc = np.zeros(np.shape(x)[:-1])
-        for p in exponents:
-            acc = acc + 1.0 / p.evaluate(x)
-        return 1.0 / (acc - gamma / n)
-
-    lo = 1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / n)
-    hi = 1.0 / room
-    return ExponentFunction.from_callable(fn, lo, hi, dim=exponents[0].dim,
-                                          label="target")
 
 
 def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
@@ -898,13 +805,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     product of Luxemburg norms of the smooth maximal functions in L^{p_i(.)};
     the truncation is monotone in both caps (checked) and set wide enough to
     be inactive at the recorded caps."""
-    _require(cfg.m is not None and cfg.m >= 1, "this run needs m")
-    m, n = cfg.m, cfg.n
-    _require(m * n <= 4, "m*n above 4 is outside the desk-scale cost cap")
-    _require(cfg.gamma is not None and 0 < cfg.gamma < m * n,
-             "need 0 < gamma < m*n")
-    gamma = cfg.gamma
-    _require(len(cfg.exponents) == m, "need one exponent per slot")
+    m, n, gamma = _slots(cfg, constant=False)
     exponents = cfg.exponents
     room = sum(1.0 / p.p_plus for p in exponents) - gamma / n
     _require(room > 0, "sum of 1/[p_i(.)]_+ must exceed gamma/n",
@@ -918,7 +819,10 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         _require(rep.stable, f"exponent {i} fails log-Hoelder stability",
                  {"log_holder": rep.to_json_dict()})
         lh_reports.append(rep)
-    target = _reciprocal_exponent(exponents, gamma, n)
+    target = _reciprocal_target(
+        exponents, gamma / n,
+        1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / n), 1.0 / room,
+        "target")
 
     N = cfg.moment_order or 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
@@ -926,7 +830,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     r_rad = cfg.truncation_radius or corner * math.sqrt(n) * 2.0
     monotone_flags = []
 
-    def truncate(T: GridFunction, k: int, vcap: float, rcap: float) -> GridFunction:
+    def truncate(T: GridFunction, vcap: float, rcap: float) -> GridFunction:
         radius = np.linalg.norm(T.coords(), axis=-1)
         samples = np.minimum(np.abs(T.samples), vcap) * (radius < rcap)
         return T.with_samples(samples)
@@ -934,16 +838,14 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     def one_trial(t: int):
         fams = _atomic_slots(cfg, t, m, N)
         rows = []
-        for k in cfg.sweep:
-            box_k = _scaled_box(cfg.box, k)
-            h_k = cfg.h * 2.0 ** k
-            fs = [_scaled_function(f.realized, k) for f in fams]
+        for k, box_k, h_k in _sweep(cfg):
+            fs = [_dilated(f.realized, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
             scale = 2.0 ** (k * gamma)
             vcap = (cfg.truncation_value * scale if cfg.truncation_value
                     else T.sup_norm() * (1.0 + 1e-12))
             rcap = r_rad * 2.0 ** k
-            lhs = luxemburg_norm(truncate(T, k, vcap, rcap), target)
+            lhs = luxemburg_norm(truncate(T, vcap, rcap), target)
             mol = _mollifier_for(box_k, h_k)
             rhs = 1.0
             for f, pex in zip(fs, exponents):
@@ -951,15 +853,14 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
             rows.append(TrialRow.make(t, k, lhs, rhs))
             if k == 0 and t < 3:
                 ladder = [
-                    luxemburg_norm(truncate(T, 0, vcap * u, rcap * v), target)
+                    luxemburg_norm(truncate(T, vcap * u, rcap * v), target)
                     for u, v in ((0.25, 0.5), (0.5, 0.75), (1.0, 1.0))
                 ]
                 monotone_flags.append(
                     all(b >= a * (1.0 - 1e-7) for a, b in zip(ladder, ladder[1:])))
         return rows
 
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
-    metadata = {
+    return _ratio_report("var-frac-hardy", cfg, one_trial, lambda: {
         "gamma": gamma, "moment_order": N,
         "exponents": [e.descriptor() for e in cfg.exponents],
         "target_band": [target.p_minus, target.p_plus],
@@ -967,9 +868,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         "truncation": {"radius": r_rad,
                        "value": cfg.truncation_value or "sup"},
         "truncation_monotone": bool(monotone_flags) and all(monotone_flags),
-        "dilation_drift": _dilation_drift(rows),
-    }
-    return RatioReport.from_rows("var-frac-hardy", rows, cfg.slope_tol, metadata)
+    })
 
 
 # -- the constructive extrapolation chain ------------------------------------------
@@ -978,20 +877,11 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
 def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     """Execute the dual-witness / iteration pipeline on one concrete tuple
     and record every link of the chain as a measured constant."""
-    _require(cfg.m is not None and cfg.m >= 1, "this run needs m")
-    m, n = cfg.m, cfg.n
-    _require(m * n <= 4, "m*n above 4 is outside the desk-scale cost cap")
-    _require(cfg.gamma is not None and cfg.gamma > 0, "gamma must be positive")
-    gamma = cfg.gamma
-    _require(len(cfg.exponents) == m, "need one exponent per slot")
+    m, n, gamma = _slots(cfg, constant=False)
     scalars = cfg.hardy_exponents or tuple(0.75 * p.p_minus for p in cfg.exponents)
     _require(len(scalars) == m, "need one scalar Hardy exponent per slot")
-    try:
-        system = derive_system(cfg.exponents, scalars, gamma,
-                               window=cfg.box, seed=cfg.corpus.seed)
-    except ValueError as e:
-        raise HypothesisError(str(e)) from e
-    _require(gamma < m * n, "need gamma < m*n for the model kernel")
+    system = derive_system(cfg.exponents, scalars, gamma,
+                           window=cfg.box, seed=cfg.corpus.seed)
 
     q = system.target_scalar
     qbar = system.target_bar
@@ -1150,4 +1040,9 @@ def run_experiment(cfg: ExperimentConfig):
         known = ", ".join(sorted(EXPERIMENTS))
         raise HypothesisError(
             f"unknown experiment {cfg.experiment!r} (known: {known})")
-    return fn(cfg)
+    try:
+        return fn(cfg)
+    except ValueError as e:
+        # a library precondition the hypothesis checks did not reach is
+        # still a config the run cannot take: exit 2, never a traceback
+        raise HypothesisError(str(e)) from e

@@ -100,15 +100,17 @@ class Cube:
         """Rescale side (and center, when ``about`` is given) by a positive factor.
 
         Unlike :meth:`dilate` this is plain coordinate scaling, so shrinking
-        is allowed; it is the primitive used for dilation sweeps.
+        is allowed; it is the primitive used for dilation sweeps, and runs in
+        plain floats because sweeps call it once per cube and scale.
         """
         if not factor > 0:
             raise ValueError("scale factor must be positive")
         if about is None:
             return Cube(self.center, self.side * factor)
-        a = np.asarray(about, dtype=float)
-        c = a + factor * (np.asarray(self.center) - a)
-        return Cube(tuple(c), self.side * factor)
+        if len(about) != self.dim:
+            raise ValueError("scaling center has the wrong dimension")
+        c = tuple(float(a) + factor * (x - float(a)) for a, x in zip(about, self.center))
+        return Cube(c, self.side * factor)
 
     def translated(self, shift: Sequence[float]) -> "Cube":
         s = np.asarray(shift, dtype=float)

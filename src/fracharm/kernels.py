@@ -1,12 +1,12 @@
 """Fractional integral kernels, their defining conditions, and desk quadrature.
 
-Every kernel here has the shape K(x, y_1..y_m) = factor(x) * profile(t) with
-t = sum_i |x - y_i|, which covers the model kernel t^(gamma - mn) and mild
-perturbations of it.  The operator applies K against m grid functions by
-midpoint quadrature over input cell-center tuples.  Exactly singular tuples
-(every y_i in the cell of x) are re-integrated once on a 3^(mn)-fold
-subdivision of the cell tuple with the still-singular center dropped; the
-dropped mass is O(h^gamma) because the singularity is integrable.
+Every kernel here has the shape K(x, y_1..y_m) = profile(t) with
+t = sum_i |x - y_i|, which covers the model kernel t^(gamma - mn).  The
+operator applies K against m grid functions by midpoint quadrature over
+input cell-center tuples.  Exactly singular tuples (every y_i in the cell
+of x) are re-integrated once on a 3^(mn)-fold subdivision of the cell tuple
+with the still-singular center dropped; the dropped mass is O(h^gamma)
+because the singularity is integrable.
 
 Derivative-based checks (smoothness condition, Taylor remainder) use central
 finite differences with step equal to 1/16 of the distance to the diagonal,
@@ -26,7 +26,6 @@ from .grid import Cube, GridFunction
 __all__ = [
     "KernelSpec",
     "KenigSteinKernel",
-    "PerturbedKernel",
     "TaylorData",
     "apply_frac_operator",
     "kernel_size_check",
@@ -61,19 +60,15 @@ def _fast_power(t: np.ndarray, e: float) -> np.ndarray:
 class KernelSpec:
     """m-linear kernel in dimension n with fractional order gamma in (0, mn).
 
-    Subclasses provide ``profile`` (a function of the summed slot distances)
-    and optionally ``point_factor``; ``evaluate`` is derived from those.
-    ``order`` records the smoothness order the harness intends to use;
-    ``size_const`` and ``smooth_const`` record the constants the kernel is
-    believed to satisfy in its defining inequalities.
+    Subclasses provide ``profile`` (a function of the summed slot distances);
+    ``evaluate`` is derived from it.  ``order`` records the smoothness order
+    the harness intends to use.
     """
 
     m: int
     n: int
     gamma: float
     order: int = 1
-    size_const: float = 1.0
-    smooth_const: float = 1.0
 
     def __post_init__(self):
         if self.m < 1 or self.n not in (1, 2):
@@ -90,22 +85,16 @@ class KernelSpec:
     def profile(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def point_factor(self, x: np.ndarray) -> np.ndarray | float:
-        return 1.0
-
     def evaluate(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """K at x (..., n) against slot points ys (..., m, n)."""
         x = np.asarray(x, dtype=float)
         ys = np.asarray(ys, dtype=float)
         t = np.linalg.norm(x[..., None, :] - ys, axis=-1).sum(axis=-1)
-        return self.point_factor(x) * self.profile(t)
-
-    def params(self) -> dict:
-        return {}
+        return self.profile(t)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "m": self.m, "n": self.n,
-                "gamma": self.gamma, "N": self.order, "params": self.params()}
+                "gamma": self.gamma, "N": self.order, "params": {}}
 
 
 @dataclass(frozen=True)
@@ -118,39 +107,6 @@ class KenigSteinKernel(KernelSpec):
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         return _fast_power(t, self.gamma - self.m * self.n)
-
-
-@dataclass(frozen=True)
-class PerturbedKernel(KernelSpec):
-    """Model profile times scale * (1 + amplitude * sin(frequency * x_1)).
-
-    Keeps the size condition with constant scale * (1 + |amplitude|); breaks
-    exact homogeneity, which is what makes it a useful stress input.
-    """
-
-    amplitude: float = 0.0
-    frequency: float = 1.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if abs(self.amplitude) >= 1 or self.scale <= 0:
-            raise ValueError("need |amplitude| < 1 and scale > 0")
-
-    @property
-    def kind(self) -> str:
-        return "perturbed"
-
-    def profile(self, t: np.ndarray) -> np.ndarray:
-        return _fast_power(t, self.gamma - self.m * self.n)
-
-    def point_factor(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.scale * (1.0 + self.amplitude * np.sin(self.frequency * x[..., 0]))
-
-    def params(self) -> dict:
-        return {"amplitude": self.amplitude, "frequency": self.frequency,
-                "scale": self.scale}
 
 
 # -- operator application -----------------------------------------------------
@@ -251,7 +207,6 @@ def apply_frac_operator(kernel: KernelSpec, fs, points=None, chunk: int | None =
             out[sing_cells] += s_corr * prods / 3.0 ** mn
 
     out *= h ** mn
-    out = out * kernel.point_factor(X)
     if on_grid:
         return g0.with_samples(out.reshape(g0.samples.shape))
     return out

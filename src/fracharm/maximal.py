@@ -24,17 +24,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve as _ndimage_convolve
 
-from .grid import Cube, GridFunction
+from .grid import GridFunction
 
 __all__ = [
     "MaximalConfig",
     "Mollifier",
-    "DominationReport",
     "hl_maximal",
     "frac_maximal",
     "iterated_maximal",
     "grand_maximal",
-    "frac_maximal_domination_check",
 ]
 
 
@@ -45,7 +43,6 @@ class MaximalConfig:
     ell_min: float
     ell_max: float
     ratio: float = 2.0 ** 0.25
-    centered: bool = False
 
     def __post_init__(self):
         if not (0 < self.ell_min <= self.ell_max):
@@ -108,20 +105,11 @@ def _ladder_pass(f: GridFunction, scale_of_length, cfg: MaximalConfig) -> GridFu
             best = cand if best is None else np.maximum(best, cand)
             continue
         if f.dim == 1:
-            W = _window_sums_1d(absf, L)
-            if cfg.centered:
-                vals = W[np.arange(absf.shape[0]) + L // 2]
-            else:
-                vals = sliding_window_view(W, L).max(-1)
+            vals = sliding_window_view(_window_sums_1d(absf, L), L).max(-1)
         else:
             W = _window_sums_2d(absf, L)
-            if cfg.centered:
-                idx1 = np.arange(absf.shape[0]) + L // 2
-                idx2 = np.arange(absf.shape[1]) + L // 2
-                vals = W[np.ix_(idx1, idx2)]
-            else:
-                part = sliding_window_view(W, L, axis=0).max(-1)
-                vals = sliding_window_view(part, L, axis=1).max(-1)
+            part = sliding_window_view(W, L, axis=0).max(-1)
+            vals = sliding_window_view(part, L, axis=1).max(-1)
         cand = vals * (scale_of_length(L * f.h) / float(L) ** f.dim)
         best = cand if best is None else np.maximum(best, cand)
     return f.with_samples(best)
@@ -229,47 +217,3 @@ def grand_maximal(f: GridFunction, mol: Mollifier) -> GridFunction:
         cand = np.abs(conv)
         best = cand if best is None else np.maximum(best, cand)
     return f.with_samples(best)
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Worst ratio of side^gamma against M_{gamma*delta}(chi_Q)^(1/delta) on Q*."""
-
-    max_ratio: float
-    interior_max_ratio: float
-    metadata: dict
-
-
-def frac_maximal_domination_check(
-    cube: Cube,
-    gamma: float,
-    delta: float,
-    *,
-    box,
-    h: float,
-    cfg: MaximalConfig | None = None,
-) -> DominationReport:
-    """Measure how well a power of the fractional maximal function of an
-    indicator dominates side^gamma on the star of its cube."""
-    if not (gamma > 0 and 0 < delta <= 1):
-        raise ValueError("need gamma > 0 and delta in (0, 1]")
-    ind = cube.indicator(box, h)
-    if gamma * delta >= ind.dim:
-        raise ValueError("gamma * delta must stay below the dimension")
-    star_mask = cube.star().contains(ind.coords())
-    if not np.any(star_mask):
-        raise ValueError("star of the cube misses the grid")
-    m = frac_maximal(ind, gamma * delta, cfg or MaximalConfig.for_grid(ind))
-    denom = m.samples ** (1.0 / delta)
-    ratios = cube.side ** gamma / denom
-    inner_mask = cube.contains(ind.coords())
-    return DominationReport(
-        max_ratio=float(np.max(ratios[star_mask])),
-        interior_max_ratio=float(np.max(ratios[inner_mask])),
-        metadata={
-            "cube": cube.descriptor(),
-            "gamma": gamma,
-            "delta": delta,
-            "h": h,
-        },
-    )

@@ -123,6 +123,10 @@ class RatioReport:
     def trial_rows(self) -> tuple:
         return self.rows
 
+    def summary(self) -> str:
+        return (f"max_ratio={self.max_ratio:.6g} mean_ratio={self.mean_ratio:.6g} "
+                f"slope={self.slope:.3g} rows={len(self.rows)}")
+
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -158,6 +162,10 @@ class AnnuliReport:
 
     def trial_rows(self) -> tuple:
         return self.rows
+
+    def summary(self) -> str:
+        return (f"lower={self.lower:.6g} upper={self.upper:.6g} "
+                f"partition={self.partition_ok}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,6 +240,9 @@ class ChainReport:
             TrialRow(i, 0, st.lhs, st.rhs, st.constant)
             for i, st in enumerate(self.steps)
         )
+
+    def summary(self) -> str:
+        return f"final={self.final_constant:.6g} steps={len(self.steps)}"
 
     def to_json_dict(self) -> dict:
         return {

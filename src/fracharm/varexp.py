@@ -117,16 +117,6 @@ class ExponentFunction:
         return cls("derived", dim, float(p_minus), float(p_plus), fn,
                    {"label": label})
 
-    @classmethod
-    def from_descriptor(cls, d: dict) -> "ExponentFunction":
-        kind, params = d["kind"], d.get("params", {})
-        if kind == "constant":
-            return cls.constant(params["value"], d.get("dim", 1))
-        if kind == "log-decay":
-            return cls.log_decay(params["limit"], params["amplitude"],
-                                 params.get("center"), d.get("dim", 1))
-        raise ValueError(f"cannot rebuild exponent of kind {kind!r}")
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "params": dict(self.params)}
 

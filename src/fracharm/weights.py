@@ -166,16 +166,6 @@ class Weight:
     def sampled(cls, g: GridFunction) -> "Weight":
         return cls("sampled", samples=g)
 
-    @classmethod
-    def from_descriptor(cls, d: dict) -> "Weight":
-        kind = d.get("kind")
-        if kind == "constant":
-            return cls.constant(d.get("value", 1.0), dim=d.get("dim", 1))
-        if kind == "power":
-            return cls.power(d["exponent"], center=tuple(d.get("center", (0.0,))),
-                             multiplier=d.get("multiplier", 1.0))
-        raise ValueError(f"cannot build weight from descriptor kind {kind!r}")
-
     def descriptor(self) -> dict:
         if self.kind == "constant":
             return {"kind": "constant", "value": self.value}

@@ -6,14 +6,13 @@ import pytest
 from fracharm.atoms import (
     Atom,
     AtomicSum,
-    envelope_norm,
     hardy_quasinorm,
     load_atomic_sum,
     make_atom,
     moment,
     random_atomic_family,
 )
-from fracharm.grid import Cube, GridFunction
+from fracharm.grid import Cube, GridFunction, weighted_lp_quasinorm
 from fracharm.maximal import Mollifier
 from fracharm.weights import Weight
 
@@ -205,15 +204,16 @@ class TestEnvelopeNorm:
         q = Cube((1.0,), 2.0)
         prof = masked_profile(BOX, H, q, lambda x: np.sin(np.pi * x))
         s = AtomicSum.build([1.0], [make_atom(prof, q, 0)])
-        assert envelope_norm(s, 0.5, Weight.constant(1.0, 1)) == 4.0
+        w = Weight.constant(1.0, 1).sample(BOX, H)
+        assert weighted_lp_quasinorm(s.envelope, 0.5, w) == 4.0
 
     def test_disjoint_cubes_additive_at_p_one(self):
         q1, q2 = Cube((-1.0,), 0.5), Cube((1.0,), 0.5)
         a1 = make_atom(masked_profile(BOX, H, q1, lambda x: x + 1.0), q1, 0)
         a2 = make_atom(masked_profile(BOX, H, q2, lambda x: x - 1.0), q2, 0)
         s = AtomicSum.build([2.0, 3.0], [a1, a2])
-        assert envelope_norm(s, 1.0) == pytest.approx(2.0 * 0.5 + 3.0 * 0.5,
-                                                      rel=1e-14)
+        assert weighted_lp_quasinorm(s.envelope, 1.0) == pytest.approx(
+            2.0 * 0.5 + 3.0 * 0.5, rel=1e-14)
 
     def test_overlapping_cubes_match_direct_quadrature(self):
         q1, q2 = Cube((0.0,), 1.0), Cube((0.25,), 1.0)
@@ -222,7 +222,7 @@ class TestEnvelopeNorm:
         s = AtomicSum.build([1.0, 2.0], [a1, a2])
         env = q1.indicator(BOX, H).samples + 2.0 * q2.indicator(BOX, H).samples
         direct = (H * np.sum(env ** 0.5)) ** 2.0
-        assert envelope_norm(s, 0.5) == pytest.approx(direct, rel=1e-14)
+        assert weighted_lp_quasinorm(s.envelope, 0.5) == pytest.approx(direct, rel=1e-14)
 
 
 class TestRandomFamily:
@@ -271,7 +271,7 @@ class TestHardyEnvelopeControl:
 
     def ratio(self, s, mol=None):
         num = hardy_quasinorm(s.realized, 1.0, None, mol or self.MOL)
-        return num / envelope_norm(s, 1.0)
+        return num / weighted_lp_quasinorm(s.envelope, 1.0)
 
     def test_stable_across_seeds(self):
         # families of 24 atoms give the averaging the band presumes; tiny

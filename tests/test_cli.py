@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracharm
 from fracharm.cli import cli_main
 
 STAR = {
@@ -117,10 +122,57 @@ class TestVerify:
         cfg = write_config(tmp_path, payload)
         assert cli_main(["verify", "extrapolation", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
-        assert "final=" in capsys.readouterr().out
-        report = json.loads((tmp_path / "extrapolation.report.json")
-                            .read_text())
+        path = tmp_path / "extrapolation.report.json"
+        report = json.loads(path.read_text())
         assert report["kind"] == "chain" and report["passed"] is True
+        assert capsys.readouterr().out == (
+            f"extrapolation: PASS final={report['final_constant']:.6g} "
+            f"steps={len(report['steps'])} -> {path}\n")
+
+    def test_ratio_report_summary(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, STAR)
+        assert cli_main(["verify", "star-sum", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        path = tmp_path / "star-sum.report.json"
+        report = json.loads(path.read_text())
+        assert report["kind"] == "ratio"
+        assert capsys.readouterr().out == (
+            f"star-sum: PASS max_ratio={report['max_ratio']:.6g} "
+            f"mean_ratio={report['mean_ratio']:.6g} "
+            f"slope={report['trend_slope']:.3g} rows=12 -> {path}\n")
+
+    def test_annuli_report_summary(self, tmp_path, capsys):
+        payload = {"experiment": "annuli", "s": 2.0,
+                   "corpus": {"seed": 3, "count": 6, "side_exponents": [-2, 0]},
+                   "sweep": {"k_min": -1, "k_max": 1}}
+        cfg = write_config(tmp_path, payload)
+        assert cli_main(["verify", "annuli", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        path = tmp_path / "annuli.report.json"
+        report = json.loads(path.read_text())
+        assert report["kind"] == "annuli"
+        assert capsys.readouterr().out == (
+            f"annuli: PASS lower={report['lower']:.6g} "
+            f"upper={report['upper']:.6g} partition=True -> {path}\n")
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(STAR, weights=[{"kind": "power", "exponent": -0.25,
+                              "center": [0.001953125]}]),
+         "power weight singularity falls on a cell center"),
+        ({"experiment": "frac-hardy", "m": 2, "gamma": 0.5,
+          "exponents": [1.0, 1.0], "grid": {"box": [[-2, 2]], "h": 0.25},
+          "corpus": {"seed": 11, "count": 2, "side_exponents": [-3, -1]}},
+         "smallest cube side has too few cells for the order"),
+    ], ids=["star-sum-weight-on-cell-center", "frac-hardy-side-below-order"])
+    def test_library_precondition_exits_two(self, tmp_path, capsys,
+                                            payload, message):
+        cfg = write_config(tmp_path, payload)
+        code = cli_main(["verify", payload["experiment"], "--config", cfg,
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
 
 
 class TestNorm:
@@ -216,3 +268,14 @@ class TestMisc:
     def test_usage_error_exits_two(self, capsys):
         assert cli_main([]) == 2
         assert cli_main(["verify"]) == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        src = str(Path(fracharm.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        res = subprocess.run([sys.executable, "-m", "fracharm.cli", "list"],
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "frac-hardy" in res.stdout

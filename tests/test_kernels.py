@@ -6,7 +6,6 @@ import pytest
 from fracharm.grid import Cube, GridFunction, GridMismatchError
 from fracharm.kernels import (
     KenigSteinKernel,
-    PerturbedKernel,
     apply_frac_operator,
     kernel_size_check,
     kernel_smoothness_check,
@@ -20,6 +19,21 @@ def ks(m, n, gamma, order=1):
     return KenigSteinKernel(m=m, n=n, gamma=gamma, order=order)
 
 
+class ScaledKernel(KenigSteinKernel):
+    """The model kernel times 2.5: size constant 2.5."""
+
+    def profile(self, t):
+        return 2.5 * super().profile(t)
+
+
+class SineKernel(KenigSteinKernel):
+    """The model kernel times 1 + sin(3t)/2: not homogeneous, size constant
+    at most 1.5."""
+
+    def profile(self, t):
+        return super().profile(t) * (1.0 + 0.5 * np.sin(3.0 * t))
+
+
 class TestKernelSpec:
     def test_gamma_range_enforced(self):
         with pytest.raises(ValueError):
@@ -27,14 +41,6 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             ks(2, 1, 0.0)
         ks(2, 1, 1.5)
-
-    def test_perturbed_params(self):
-        with pytest.raises(ValueError):
-            PerturbedKernel(m=1, n=1, gamma=0.5, amplitude=1.0)
-        k = PerturbedKernel(m=1, n=1, gamma=0.5, amplitude=0.5, frequency=2.0)
-        d = k.descriptor()
-        assert d["kind"] == "perturbed"
-        assert d["params"]["amplitude"] == 0.5
 
     def test_descriptor_keys(self):
         d = ks(2, 1, 1.0, order=3).descriptor()
@@ -162,14 +168,6 @@ class TestApplyOperator:
         with pytest.raises(GridMismatchError):
             apply_frac_operator(ks(2, 1, 1.0), [f, g])
 
-    def test_perturbed_point_factor_applied(self):
-        h = 2.0 ** -6
-        f = Cube((0.5,), 1.0).indicator(((-2.0, 2.0),), h)
-        base = apply_frac_operator(ks(1, 1, 0.5), [f], points=np.array([[0.0]]))[0]
-        pert = PerturbedKernel(m=1, n=1, gamma=0.5, amplitude=0.0, scale=3.0)
-        val = apply_frac_operator(pert, [f], points=np.array([[0.0]]))[0]
-        assert val == pytest.approx(3.0 * base, rel=1e-12)
-
 
 class TestSizeCheck:
     def test_model_kernel_is_one(self):
@@ -177,11 +175,11 @@ class TestSizeCheck:
             assert kernel_size_check(k) == pytest.approx(1.0, rel=1e-12)
 
     def test_scaled_kernel(self):
-        k = PerturbedKernel(m=1, n=1, gamma=0.5, amplitude=0.0, scale=2.5)
+        k = ScaledKernel(m=1, n=1, gamma=0.5)
         assert kernel_size_check(k) == pytest.approx(2.5, rel=1e-12)
 
     def test_sine_perturbation_bounded(self):
-        k = PerturbedKernel(m=1, n=1, gamma=0.5, amplitude=0.5, frequency=3.0)
+        k = SineKernel(m=1, n=1, gamma=0.5)
         r = kernel_size_check(k, 800)
         assert 1.2 <= r <= 1.5 + 1e-9
 

@@ -10,7 +10,6 @@ from fracharm.maximal import (
     MaximalConfig,
     Mollifier,
     frac_maximal,
-    frac_maximal_domination_check,
     grand_maximal,
     hl_maximal,
     iterated_maximal,
@@ -59,14 +58,6 @@ class TestHlMaximal:
         f = GridFunction(BOX, 2.0 ** -5, rng.standard_normal(256))
         m = hl_maximal(f)
         assert np.all(m.samples >= np.abs(f.samples))
-
-    def test_centered_below_uncentered(self):
-        rng = np.random.default_rng(4)
-        f = GridFunction(BOX, 2.0 ** -5, np.abs(rng.standard_normal(256)))
-        cen = hl_maximal(f, MaximalConfig(ell_min=f.h, ell_max=8.0, centered=True))
-        unc = hl_maximal(f)
-        assert np.all(cen.samples <= unc.samples + 1e-15)
-        assert np.all(cen.samples >= np.abs(f.samples))
 
     def test_2d_indicator_interior(self):
         box = ((-2.0, 2.0), (-2.0, 2.0))
@@ -197,35 +188,34 @@ class TestGrandMaximal:
         assert np.max(g.samples) <= 1 + 1e-12
 
 
+def domination_ratios(cube, gamma, delta, box=BOX):
+    """Worst side^gamma / M_{gamma*delta}(chi_Q)^(1/delta) on the star of Q
+    and on Q itself."""
+    ind = cube.indicator(box, H)
+    ratios = cube.side ** gamma / frac_maximal(ind, gamma * delta).samples ** (1.0 / delta)
+    coords = ind.coords()
+    return (float(np.max(ratios[cube.star().contains(coords)])),
+            float(np.max(ratios[cube.contains(coords)])))
+
+
 class TestDominationCheck:
     def test_unit_cube_interior_and_star(self):
-        rep = frac_maximal_domination_check(
-            Cube((0.5,), 1.0), 0.5, 1.0, box=BOX, h=H
-        )
-        assert rep.interior_max_ratio == 1.0
+        star_max, interior_max = domination_ratios(Cube((0.5,), 1.0), 0.5, 1.0)
+        assert interior_max == 1.0
         # at the star corners the continuum ratio is sqrt(3/2); the ladder
         # can overshoot it by at most one ratio step
         lo = math.sqrt(1.5)
-        assert lo - 1e-9 <= rep.max_ratio <= lo * 2.0 ** 0.25 + 1e-9
+        assert lo - 1e-9 <= star_max <= lo * 2.0 ** 0.25 + 1e-9
 
     def test_dilation_sweep_stable(self):
         box = ((-8.0, 8.0),)
         vals = []
         for k in range(-2, 3):
             side = 2.0 ** k
-            rep = frac_maximal_domination_check(
-                Cube((side / 2,), side), 0.5, 1.0, box=box, h=H
-            )
-            vals.append(rep.max_ratio)
+            vals.append(domination_ratios(Cube((side / 2,), side), 0.5, 1.0, box)[0])
         assert max(vals) <= 1.10 * min(vals)
 
     def test_smaller_delta_finite(self):
-        rep = frac_maximal_domination_check(
-            Cube((0.5,), 1.0), 0.5, 0.5, box=BOX, h=H
-        )
-        assert math.isfinite(rep.max_ratio)
-        assert rep.max_ratio >= rep.interior_max_ratio >= 1.0 - 1e-12
-
-    def test_rejects_gamma_delta_at_dimension(self):
-        with pytest.raises(ValueError):
-            frac_maximal_domination_check(Cube((0.5,), 1.0), 2.0, 0.5, box=BOX, h=H)
+        star_max, interior_max = domination_ratios(Cube((0.5,), 1.0), 0.5, 0.5)
+        assert math.isfinite(star_max)
+        assert star_max >= interior_max >= 1.0 - 1e-12

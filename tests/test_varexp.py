@@ -82,13 +82,6 @@ class TestExponentFunction:
         assert p.evaluate(np.array([[99.0]]))[0] == g.samples[-1]
         assert p.evaluate(np.array([[-99.0]]))[0] == g.samples[0]
 
-    def test_descriptor_round_trip(self):
-        for p in (ExponentFunction.constant(3.0),
-                  ExponentFunction.log_decay(2.0, 0.5, center=(1.0,))):
-            q = ExponentFunction.from_descriptor(p.descriptor())
-            pts = np.linspace(-3, 3, 17)[:, None]
-            assert np.array_equal(p.evaluate(pts), q.evaluate(pts))
-
     def test_dimension_checked(self):
         p = ExponentFunction.constant(2.0, dim=2)
         with pytest.raises(ValueError, match="dimension"):
