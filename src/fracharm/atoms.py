@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Cube, GridFunction, weighted_lp_quasinorm
+from .grid import Cube, GridFunction, multi_indices, weighted_lp_quasinorm
 from .maximal import Mollifier, grand_maximal
 from .weights import Weight
 
@@ -43,12 +43,6 @@ MOMENT_TOL = 1e-10
 
 # residual sup below this multiple of the profile sup counts as annihilated
 _ANNIHILATION_TOL = 1e-12
-
-
-def _total_degree_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
-    if dim == 1:
-        return [(k,) for k in range(max_total + 1)]
-    return [(i, j) for i in range(max_total + 1) for j in range(max_total + 1 - i)]
 
 
 def moment(f: GridFunction, alpha) -> float:
@@ -87,24 +81,13 @@ class Atom:
         if np.any(v.reshape(-1)[~inside] != 0.0):
             raise ValueError("atom values must vanish outside the cube")
         side = self.cube.side
-        for alpha in _total_degree_indices(self.values.dim, self.order):
+        for alpha in multi_indices(self.values.dim, self.order):
             bound = MOMENT_TOL * side ** (self.values.dim + sum(alpha))
             if abs(moment(self.values, alpha)) > bound:
                 raise ValueError(f"moment {alpha} exceeds the vanishing tolerance")
 
     def descriptor(self) -> dict:
         return {"cube": self.cube.descriptor(), "N": self.order}
-
-
-def _axis_selection(profile: GridFunction, cube: Cube) -> list[np.ndarray]:
-    sels = []
-    for axis in range(profile.dim):
-        centers = profile.axis_centers(axis)
-        sel = np.nonzero((centers >= cube.lo[axis]) & (centers < cube.hi[axis]))[0]
-        if sel.size == 0:
-            raise ValueError("cube contains no grid cells")
-        sels.append(sel)
-    return sels
 
 
 def _orthonormal_columns(centers: np.ndarray, cube_lo: float, side: float,
@@ -128,18 +111,22 @@ def make_atom(profile: GridFunction, cube: Cube, order: int) -> Atom:
         raise ValueError("profile and cube dimensions differ")
     if order < 0:
         raise ValueError("moment order must be nonnegative")
-    sels = _axis_selection(profile, cube)
+    cells = profile.cells(cube)
+    if profile.samples[cells].size == 0:
+        raise ValueError("cube contains no grid cells")
     mask = np.zeros(profile.samples.shape, dtype=bool)
-    mask[np.ix_(*sels)] = True
+    mask[cells] = True
     if np.any(profile.samples[~mask] != 0.0):
         raise ValueError("profile must vanish outside the cube")
 
     qs = [
-        _orthonormal_columns(profile.axis_centers(a)[sels[a]], cube.lo[a],
+        _orthonormal_columns(profile.axis_centers(a)[cells[a]], cube.lo[a],
                              cube.side, order)
         for a in range(profile.dim)
     ]
-    loc = profile.samples[np.ix_(*sels)]
+    loc = profile.samples[cells].copy()  # the products read a contiguous block
+    # one projection per dimension: a single form with one tensordot per
+    # axis rounds differently from these products on random profiles
     if profile.dim == 1:
         coef = qs[0].T @ loc
         resid = loc - qs[0] @ coef
@@ -156,7 +143,7 @@ def make_atom(profile: GridFunction, cube: Cube, order: int) -> Atom:
     if ref == 0.0 or peak <= _ANNIHILATION_TOL * ref:
         raise ValueError("projection annihilates the profile")
     out = np.zeros_like(profile.samples)
-    out[np.ix_(*sels)] = resid / peak
+    out[cells] = resid / peak
     return Atom(cube=cube, order=order, values=profile.with_samples(out))
 
 
@@ -288,10 +275,9 @@ def random_atomic_family(seed: int, count: int, *, box, h: float,
     lambdas = []
     for _ in range(count):
         cube = random_cube(rng, zero.box, h, (j_lo, j_hi), margin)
-        sels = _axis_selection(zero, cube)
+        cells = zero.cells(cube)
         prof = np.zeros_like(zero.samples)
-        shape = tuple(s.size for s in sels)
-        prof[np.ix_(*sels)] = rng.uniform(-1.0, 1.0, size=shape)
+        prof[cells] = rng.uniform(-1.0, 1.0, size=prof[cells].shape)
         atoms.append(make_atom(zero.with_samples(prof), cube, order))
         lambdas.append(random_coefficient(rng, lambda_range))
     return AtomicSum.build(lambdas, atoms, box=box, h=h, seed=seed)

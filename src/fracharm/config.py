@@ -89,6 +89,23 @@ def _check_known(d: dict, known, path: str):
             raise ConfigError("unknown field", where)
 
 
+def _as_object(value, path: str, known) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("expected an object", path)
+    _check_known(value, known, path)
+    return value
+
+
+def _number_list(d: dict, key: str) -> tuple | None:
+    values = d.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise ConfigError("expected a list of numbers", key)
+    return tuple(_as_number(v, f"{key}[{i}]", positive=True)
+                 for i, v in enumerate(values))
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic corpus law: seed, size, and the random cube geometry."""
@@ -102,10 +119,8 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "corpus") -> "CorpusSpec":
-        if not isinstance(d, dict):
-            raise ConfigError("expected an object", path)
-        _check_known(d, {"seed", "count", "atoms_per_trial", "side_exponents",
-                         "lambda_range", "order"}, path)
+        _as_object(d, path, {"seed", "count", "atoms_per_trial", "side_exponents",
+                             "lambda_range", "order"})
         seed = _as_int(d.get("seed", 0), f"{path}.seed", minimum=0)
         count = _as_int(d.get("count", 0), f"{path}.count", minimum=0)
         apt = d.get("atoms_per_trial", (1, 4))
@@ -258,18 +273,8 @@ class ExperimentConfig:
             _exponent_from(e, n, f"exponents[{i}]") for i, e in enumerate(exps)
         )
 
-        tq = d.get("target_exponents")
-        if tq is not None:
-            if not isinstance(tq, list):
-                raise ConfigError("expected a list of numbers", "target_exponents")
-            tq = tuple(_as_number(v, f"target_exponents[{i}]", positive=True)
-                       for i, v in enumerate(tq))
-        hs = d.get("hardy_exponents")
-        if hs is not None:
-            if not isinstance(hs, list):
-                raise ConfigError("expected a list of numbers", "hardy_exponents")
-            hs = tuple(_as_number(v, f"hardy_exponents[{i}]", positive=True)
-                       for i, v in enumerate(hs))
+        tq = _number_list(d, "target_exponents")
+        hs = _number_list(d, "hardy_exponents")
 
         wts = d.get("weights", [])
         if isinstance(wts, dict):
@@ -282,14 +287,9 @@ class ExperimentConfig:
 
         corpus = CorpusSpec.from_dict(d.get("corpus", {}))
         if corpus.count == 0:
-            corpus = CorpusSpec(corpus.seed, 100 if n == 1 else 20,
-                                corpus.atoms_per_trial, corpus.side_exponents,
-                                corpus.lambda_range, corpus.order)
+            corpus = replace(corpus, count=100 if n == 1 else 20)
 
-        grid = d.get("grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError("expected an object", "grid")
-        _check_known(grid, {"box", "h"}, "grid")
+        grid = _as_object(d.get("grid", {}), "grid", {"box", "h"})
         h = grid.get("h", 2.0 ** -8 if n == 1 else 2.0 ** -5)
         h = _as_number(h, "grid.h", positive=True)
         raw_box = grid.get("box")
@@ -311,10 +311,7 @@ class ExperimentConfig:
             box.append((lo, hi))
         box = tuple(box)
 
-        sweep = d.get("sweep", {})
-        if not isinstance(sweep, dict):
-            raise ConfigError("expected an object", "sweep")
-        _check_known(sweep, {"k_min", "k_max", "ks"}, "sweep")
+        sweep = _as_object(d.get("sweep", {}), "sweep", {"k_min", "k_max", "ks"})
         if "ks" in sweep:
             ks = sweep["ks"]
             if not isinstance(ks, list) or not ks:
@@ -327,17 +324,11 @@ class ExperimentConfig:
                 raise ConfigError("k_min exceeds k_max", "sweep")
             ks = tuple(range(k_min, k_max + 1))
 
-        tols = d.get("tolerances", {})
-        if not isinstance(tols, dict):
-            raise ConfigError("expected an object", "tolerances")
-        _check_known(tols, {"slope_tol"}, "tolerances")
+        tols = _as_object(d.get("tolerances", {}), "tolerances", {"slope_tol"})
         slope_tol = _as_number(tols.get("slope_tol", 0.1), "tolerances.slope_tol",
                                positive=True)
 
-        trunc = d.get("truncation", {})
-        if not isinstance(trunc, dict):
-            raise ConfigError("expected an object", "truncation")
-        _check_known(trunc, {"radius", "value"}, "truncation")
+        trunc = _as_object(d.get("truncation", {}), "truncation", {"radius", "value"})
         t_rad = trunc.get("radius")
         if t_rad is not None:
             t_rad = _as_number(t_rad, "truncation.radius", positive=True)
@@ -376,10 +367,7 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        c = self.corpus
-        corpus = CorpusSpec(int(seed), c.count, c.atoms_per_trial,
-                            c.side_exponents, c.lambda_range, c.order)
-        return replace(self, corpus=corpus)
+        return replace(self, corpus=replace(self.corpus, seed=int(seed)))
 
     def descriptor(self) -> dict:
         """Echo of the resolved parameters, for report metadata."""

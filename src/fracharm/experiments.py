@@ -5,7 +5,10 @@ cubes, and data jointly by 2**k across the sweep.  Joint dilation keeps the
 cell count fixed (cost linear in sweep length) and makes the ratio of any
 homogeneous bound exactly scale-covariant, so a nonzero log-log trend slope
 signals a mismatched exponent relation rather than a resolution artifact.
-Resolution itself is gated separately, by halving h and comparing max ratios.
+No run gates resolution: only the unit tests
+``tests/test_experiments.py::TestStarSum::test_halving_h_stable`` and
+``::TestTailSum::test_halving_h_stable`` halve h and compare max ratios
+(ROADMAP item 5b plans a run-time gate).
 
 Hypothesis checks (exponent relations, weight-constant stability, decay
 thresholds) always run before any heavy computation and raise a structured
@@ -168,11 +171,8 @@ def _indicator_sum(cubes, lambdas, box, h: float, *, star: bool = False,
                    side_power: float = 0.0) -> GridFunction:
     zero = GridFunction.zeros(box, h)
     acc = np.zeros_like(zero.samples)
-    coords = zero.coords()
     for q, lam in zip(cubes, lambdas):
-        cube = q.star() if star else q
-        mask = cube.contains(coords)
-        acc = acc + (lam * q.side ** side_power) * mask
+        acc[zero.cells(q.star() if star else q)] += lam * q.side ** side_power
     return zero.with_samples(acc)
 
 
@@ -765,11 +765,11 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
         cubes, lambdas = _indicator_corpus(cfg, rng)
         zero = GridFunction.zeros(cfg.box, cfg.h)
         acc = np.zeros_like(zero.samples)
-        coords = zero.coords()
         for cube, lam in zip(cubes, lambdas):
-            mask = cube.contains(coords)
+            # a full-grid draw keeps the stream independent of the cube
             vals = lam * rng.uniform(-1.0, 1.0, size=zero.samples.shape)
-            acc = acc + np.where(mask, vals, 0.0)
+            cells = zero.cells(cube)
+            acc[cells] += vals[cells]
         return zero.with_samples(acc)
 
     def one_trial(t: int):

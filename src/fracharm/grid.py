@@ -3,12 +3,14 @@
 Conventions shared by the whole package:
 
 * A box is a tuple of per-axis ``(lo, hi)`` intervals.  Dimensions 1 and 2
-  are supported; nothing here is written for general n.
+  are supported; the geometry below is written once for any n, and the cap
+  is enforced in ``_as_box`` and ``Cube``.
 * Samples live at cell centers ``lo + (i + 1/2) h`` with one spacing ``h``
   for every axis.  Quadrature is the midpoint rule, which is exact for
   functions that are constant on cells and for affine functions.
 * Cell membership in a cube is half-open per axis (``[lo, hi)``), so that
-  tilings by disjoint cubes are exact at the sample level.
+  tilings by disjoint cubes are exact at the sample level.  The cells a cube
+  owns form one index range per axis, ``GridFunction.cells``.
 * Two grid functions combine only when box and spacing agree exactly.
   There is no implicit resampling anywhere.
 """
@@ -16,6 +18,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,6 +36,7 @@ __all__ = [
     "integrate",
     "weighted_lp_quasinorm",
     "dyadic_cubes",
+    "multi_indices",
 ]
 
 _SUPPORTED_DIMS = (1, 2)
@@ -128,8 +132,9 @@ class Cube:
     def indicator(self, box, h: float) -> "GridFunction":
         """Sample the indicator of this cube on the given grid."""
         zero = GridFunction.zeros(box, h)
-        mask = self.contains(zero.coords())
-        return zero.with_samples(np.where(mask, 1.0, 0.0))
+        vals = np.zeros_like(zero.samples)
+        vals[zero.cells(self)] = 1.0
+        return zero.with_samples(vals)
 
     def descriptor(self) -> dict:
         return {"center": list(self.center), "side": self.side}
@@ -180,10 +185,7 @@ class GridFunction:
     def from_callable(cls, box, h: float, fn: Callable) -> "GridFunction":
         g = cls.zeros(box, h)
         pts = g.coords()
-        if g.dim == 1:
-            vals = np.asarray(fn(pts[..., 0]), dtype=float)
-        else:
-            vals = np.asarray(fn(pts[..., 0], pts[..., 1]), dtype=float)
+        vals = np.asarray(fn(*(pts[..., a] for a in range(g.dim))), dtype=float)
         return g.with_samples(np.broadcast_to(vals, g.samples.shape))
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
@@ -205,12 +207,21 @@ class GridFunction:
         return lo + (np.arange(cnt) + 0.5) * self.h
 
     @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.axis_centers(a) for a in range(self.dim))
+
+    @cached_property
     def _coords(self) -> np.ndarray:
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        return np.stack(np.meshgrid(*self._axes, indexing="ij"), axis=-1)
+
+    def cells(self, cube: Cube) -> tuple[slice, ...]:
+        """The cells whose centers ``cube`` contains, as one half-open index
+        range per axis (possibly empty); ``samples[g.cells(cube)]`` is the
+        block.  Same comparisons as ``Cube.contains``: lo <= center < hi."""
+        if cube.dim != self.dim:
+            raise ValueError("cube dimension does not match the grid")
+        return tuple(slice(*np.searchsorted(c, (lo, hi)).tolist())
+                     for c, lo, hi in zip(self._axes, cube.lo, cube.hi))
 
     def coords(self) -> np.ndarray:
         """Cell-center coordinates, shape ``samples.shape + (dim,)``."""
@@ -255,10 +266,6 @@ class GridFunction:
     def power(self, p: float) -> "GridFunction":
         return self.with_samples(np.power(self.samples, p))
 
-    def maximum(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return self.with_samples(np.maximum(self.samples, other.samples))
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
@@ -276,7 +283,7 @@ class GridFunction:
         path = Path(path)
         pts = self.coords().reshape(-1, self.dim)
         vals = self.samples.reshape(-1)
-        header = ["x", "value"] if self.dim == 1 else ["x", "y", "value"]
+        header = ["x", "y"][: self.dim] + ["value"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -377,13 +384,14 @@ def dyadic_cubes(window, j_min: int, j_max: int, h: float | None = None) -> Dyad
                     f"window extent ({lo}, {hi}) is not tiled by side 2^{j}"
                 )
             counts.append(cnt)
-        if len(window) == 1:
-            lo = window[0][0]
-            for i in range(counts[0]):
-                cubes.append(Cube((lo + (i + 0.5) * side,), side))
-        else:
-            (lox, _), (loy, _) = window
-            for i in range(counts[0]):
-                for k in range(counts[1]):
-                    cubes.append(Cube((lox + (i + 0.5) * side, loy + (k + 0.5) * side), side))
+        for idx in itertools.product(*(range(c) for c in counts)):
+            center = tuple(lo + (i + 0.5) * side for (lo, _), i in zip(window, idx))
+            cubes.append(Cube(center, side))
     return DyadicFamily(window, j_min, j_max, tuple(cubes))
+
+
+def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:
+    """Multi-indices of length ``dim`` and total degree <= ``max_total``,
+    by total degree, then lexicographically."""
+    every = itertools.product(range(max_total + 1), repeat=dim)
+    return sorted((b for b in every if sum(b) <= max_total), key=sum)

@@ -21,7 +21,7 @@ from itertools import product as _product
 
 import numpy as np
 
-from .grid import Cube, GridFunction
+from .grid import Cube, GridFunction, multi_indices
 
 __all__ = [
     "KernelSpec",
@@ -124,8 +124,7 @@ def _subdivision_profile_sum(kernel: KernelSpec, h: float) -> float:
     for combo in _product(offsets, repeat=mn):
         t = 0.0
         for i in range(kernel.m):
-            slot = combo[i * kernel.n : (i + 1) * kernel.n]
-            t += math.hypot(*slot) if kernel.n == 2 else abs(slot[0])
+            t += math.hypot(*combo[i * kernel.n : (i + 1) * kernel.n])
         if t > 0.0:
             total += float(kernel.profile(np.asarray(t)))
     return total
@@ -175,11 +174,7 @@ def apply_frac_operator(kernel: KernelSpec, fs, points=None, chunk: int | None =
         spec = _EINSUM[kernel.m]
         for c0 in range(0, X.shape[0], chunk):
             xb = X[c0 : c0 + chunk]
-            if g0.dim == 1:
-                D = [np.abs(xb[:, 0][:, None] - Yi[:, 0][None, :]) for Yi in Y]
-            else:
-                D = [np.linalg.norm(xb[:, None, :] - Yi[None, :, :], axis=-1)
-                     for Yi in Y]
+            D = [np.linalg.norm(xb[:, None, :] - Yi[None, :, :], axis=-1) for Yi in Y]
             t = D[0]
             for i in range(1, kernel.m):
                 shape = [t.shape[0]] + [1] * i + [D[i].shape[1]]
@@ -252,10 +247,23 @@ def _axis_stencil(order: int):
     return coeffs, nodes
 
 
-def _multi_indices(n: int, total: int):
-    if n == 1:
-        return [(total,)]
-    return [(k, total - k) for k in range(total + 1)]
+def _difference(kernel: KernelSpec, x, ys, slot: int, beta, step):
+    """Central iterated difference of K in slot ``slot`` along the
+    multi-index beta, vectorized over the sample axis; divide by
+    step^|beta| for the derivative estimate."""
+    acc = np.zeros(x.shape[0])
+    per_axis = [_axis_stencil(b) for b in beta]
+    for parts in _product(*(range(b + 1) for b in beta)):
+        coef = np.ones(x.shape[0])
+        offset = np.zeros((x.shape[0], kernel.n))
+        for axis, j in enumerate(parts):
+            c, nodes = per_axis[axis]
+            coef = coef * c[j]
+            offset[:, axis] += nodes[j] * step
+        shifted = ys.copy()
+        shifted[:, slot, :] += offset
+        acc += coef * kernel.evaluate(x, shifted)
+    return acc
 
 
 def _derivative_sum(kernel: KernelSpec, x, ys, order: int, step):
@@ -263,20 +271,10 @@ def _derivative_sum(kernel: KernelSpec, x, ys, order: int, step):
     derivative|, vectorized over the sample axis."""
     total = np.zeros(x.shape[0])
     for slot in range(kernel.m):
-        for beta in _multi_indices(kernel.n, order):
-            acc = np.zeros(x.shape[0])
-            per_axis = [_axis_stencil(b) for b in beta]
-            for parts in _product(*(range(b + 1) for b in beta)):
-                coef = np.ones(x.shape[0])
-                offset = np.zeros((x.shape[0], kernel.n))
-                for axis, j in enumerate(parts):
-                    c, nodes = per_axis[axis]
-                    coef = coef * c[j]
-                    offset[:, axis] += nodes[j] * step
-                shifted = ys.copy()
-                shifted[:, slot, :] += offset
-                acc += coef * kernel.evaluate(x, shifted)
-            total += np.abs(acc) / step ** order
+        for beta in multi_indices(kernel.n, order):
+            if sum(beta) == order:
+                diff = _difference(kernel, x, ys, slot, beta, step)
+                total += np.abs(diff) / step ** order
     return total
 
 
@@ -328,26 +326,11 @@ class TaylorData:
         # stencil never reaches the kink at y_slot = x even when other slots
         # dominate the total distance
         step = np.linalg.norm(x - np.asarray(self.center), axis=-1) / 16.0
-        out = {}
-        for total in range(self.order):
-            for beta in _multi_indices(self.kernel.n, total):
-                if total == 0:
-                    out[beta] = self.kernel.evaluate(x, base)
-                    continue
-                acc = np.zeros(x.shape[0])
-                per_axis = [_axis_stencil(b) for b in beta]
-                for parts in _product(*(range(b + 1) for b in beta)):
-                    coef = np.ones(x.shape[0])
-                    offset = np.zeros((x.shape[0], self.kernel.n))
-                    for axis, j in enumerate(parts):
-                        c, nodes = per_axis[axis]
-                        coef = coef * c[j]
-                        offset[:, axis] += nodes[j] * step
-                    shifted = base.copy()
-                    shifted[:, self.slot, :] += offset
-                    acc += coef * self.kernel.evaluate(x, shifted)
-                out[beta] = acc / step ** total
-        return out
+        # the zeroth difference is the kernel itself, exactly: its one
+        # stencil node has weight 1 and offset 0
+        return {beta: _difference(self.kernel, x, base, self.slot, beta, step)
+                / step ** sum(beta)
+                for beta in multi_indices(self.kernel.n, self.order - 1)}
 
     def evaluate(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Cube, GridFunction
+from .grid import GridFunction
 from .maximal import MaximalConfig, hl_maximal
 from .weights import Weight, WeightConstantReport, rh_constant, weight_cube_family
 
@@ -59,7 +59,6 @@ class ExponentFunction:
     p_plus: float
     fn: Callable = field(repr=False)
     params: dict = field(default_factory=dict)
-    log_holder: "LogHolderReport | None" = None
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -452,17 +451,6 @@ def rubio_iterate(h: GridFunction, sigma: ExponentFunction, opnorm: float,
     return h.with_samples(acc)
 
 
-def _cube_block(g: GridFunction, cube: Cube) -> np.ndarray:
-    sels = []
-    for axis in range(g.dim):
-        centers = g.axis_centers(axis)
-        sel = np.nonzero((centers >= cube.lo[axis]) & (centers < cube.hi[axis]))[0]
-        if sel.size == 0:
-            return np.empty(0)
-        sels.append(sel)
-    return g.samples[np.ix_(*sels)]
-
-
 def _interior_family(g: GridFunction):
     # central half of the box; the clipped boundary windows of the discrete
     # maximal operator would bias an A1 quotient measured near the edge
@@ -523,16 +511,17 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
     tail = g.samples / (2.0 * opnorm) ** (depth + 1)
 
     family = _interior_family(h)
-    tailf = h.with_samples(tail)
     est = 0.0
     bound = math.inf
     worst = None
     all_ok = True
     for cube in family.cubes:
-        block = _cube_block(rk, cube)
+        # reduce contiguous copies: a strided view sums in another order
+        cells = rk.cells(cube)
+        block = rk.samples[cells].copy()
         if block.size == 0:
             continue
-        tb = _cube_block(tailf, cube)
+        tb = tail[cells]
         quot = float(block.mean() / block.min())
         # avg over the cube is realized by a ladder window, and the maximal
         # function of the truncated series obeys the pointwise recursion

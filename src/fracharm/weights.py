@@ -221,16 +221,19 @@ class Weight:
             mult = self.multiplier ** power
             lo = tuple(l - c for l, c in zip(cube.lo, self.center))
             hi = tuple(u - c for u, c in zip(cube.hi, self.center))
+            # the interval and the rectangle are different closed forms
             if self.dim == 1:
                 raw = _interval_power_integral(lo[0], hi[0], b)
             else:
                 raw = _rect_power_integral(lo, hi, b)
             return mult * raw / cube.volume
-        mask = cube.contains(self.samples.coords())
-        if not np.any(mask):
+        # reduce one contiguous run in row-major order, not a strided view,
+        # whose mean would sum in another order
+        block = self.samples.samples[self.samples.cells(cube)].ravel()
+        if block.size == 0:
             raise ValueError("cube contains no sample points")
         with np.errstate(divide="ignore"):
-            vals = self.samples.samples[mask] ** power
+            vals = block ** power
         return float(np.mean(vals))
 
 

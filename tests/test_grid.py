@@ -135,6 +135,58 @@ class TestGridFunction:
         assert np.array_equal(back.samples, g.samples)
 
 
+def _cells_mask(g, cube):
+    mask = np.zeros(g.samples.shape, dtype=bool)
+    mask[g.cells(cube)] = True
+    return mask
+
+
+class TestCells:
+    @pytest.mark.parametrize("box", [BOX1, BOX2])
+    def test_matches_contains_on_random_cubes(self, box):
+        g = GridFunction.zeros(box, 0.125)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            center = rng.uniform(-3.0, 3.0, size=len(box))
+            cube = Cube(tuple(center), float(rng.uniform(0.01, 3.0)))
+            assert np.array_equal(_cells_mask(g, cube), cube.contains(g.coords()))
+
+    @pytest.mark.parametrize("box", [BOX1, BOX2])
+    def test_half_open_edges_on_cell_centers(self, box):
+        # lo and hi both sit on cell centers: lo is owned, hi is not
+        g = GridFunction.zeros(box, 0.125)
+        dim = len(box)
+        cube = Cube((0.0625 + 0.25,) * dim, 0.5)
+        assert cube.lo[0] == 0.0625 and cube.hi[0] == 0.5625
+        assert g.cells(cube) == (slice(16, 20),) * dim
+        assert np.array_equal(_cells_mask(g, cube), cube.contains(g.coords()))
+
+    @pytest.mark.parametrize("box", [BOX1, BOX2])
+    def test_cube_clipped_by_box(self, box):
+        g = GridFunction.zeros(box, 0.125)
+        dim = len(box)
+        cube = Cube((1.9,) + (-1.9,) * (dim - 1), 1.0)
+        cells = g.cells(cube)
+        assert cells[0] == slice(27, 32)
+        if dim == 2:
+            assert cells[1] == slice(0, 5)
+        assert np.array_equal(_cells_mask(g, cube), cube.contains(g.coords()))
+
+    @pytest.mark.parametrize("box", [BOX1, BOX2])
+    def test_cube_between_centers_owns_nothing(self, box):
+        g = GridFunction.zeros(box, 0.125)
+        dim = len(box)
+        inside = Cube((0.0,) * dim, 0.1)  # (-0.05, 0.05) misses +-0.0625
+        outside = Cube((5.0,) * dim, 1.0)
+        for cube in (inside, outside):
+            assert g.samples[g.cells(cube)].size == 0
+            assert not cube.contains(g.coords()).any()
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            GridFunction.zeros(BOX2, 0.125).cells(Cube((0.0,), 1.0))
+
+
 class TestNorms:
     def test_indicator_quasinorm_p_half(self):
         # f = indicator of [0,1] on any aligned grid: norm_p == 1 for all p,

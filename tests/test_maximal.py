@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,37 @@ class TestHlMaximal:
         lhs = hl_maximal(f + g).samples
         rhs = hl_maximal(f).samples + hl_maximal(g).samples
         assert np.all(lhs <= rhs + 1e-12)
+
+
+def brute_force_ladder(f, gamma, cfg):
+    """Max over every L^n window holding each cell, L on the ladder, of
+    (L h)^gamma times the window average of |f| (zero outside the box)."""
+    absf = np.abs(f.samples)
+    out = np.zeros_like(absf)
+    for L in cfg.cell_lengths(f.h):
+        scale = (L * f.h) ** gamma / float(L) ** f.dim
+        for idx in np.ndindex(absf.shape):
+            starts = [range(i - L + 1, i + 1) for i in idx]
+            for start in itertools.product(*starts):
+                window = tuple(slice(max(s, 0), s + L) for s in start)
+                out[idx] = max(out[idx], absf[window].sum() * scale)
+    return out
+
+
+class TestLadderBruteForce:
+    @pytest.mark.parametrize("box,h", [(((-1.0, 1.0),), 2.0 ** -4),
+                                       (((-1.0, 1.0), (-0.5, 0.5)), 2.0 ** -3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hl_and_frac_match_every_window(self, box, h, seed):
+        rng = np.random.default_rng(seed)
+        g = GridFunction.zeros(box, h)
+        f = g.with_samples(rng.uniform(-1.0, 1.0, size=g.samples.shape))
+        cfg = MaximalConfig.for_grid(f, ratio=1.5)
+        np.testing.assert_allclose(hl_maximal(f, cfg).samples,
+                                   brute_force_ladder(f, 0.0, cfg), rtol=1e-12)
+        with pytest.warns(RuntimeWarning):
+            frac = frac_maximal(f, 0.5, cfg).samples
+        np.testing.assert_allclose(frac, brute_force_ladder(f, 0.5, cfg), rtol=1e-12)
 
 
 class TestFracMaximal:
