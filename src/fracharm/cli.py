@@ -14,19 +14,20 @@ Subcommands:
       registered experiment ids with one-line summaries.
 
 Exit codes: 0 all requested checks passed, 1 a report failed its gates,
-2 usage, config, or hypothesis errors.
+2 usage, config, or hypothesis errors, or an argument the library rejects.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .experiments import EXPERIMENT_SUMMARIES, EXPERIMENTS, HypothesisError, run_experiment
 from .grid import GridFunction, weighted_lp_quasinorm
 from .kernels import KenigSteinKernel, kernel_size_check, kernel_smoothness_check
@@ -101,14 +102,11 @@ def _print_json(payload: dict):
 def _cmd_verify(args) -> int:
     if args.experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
-        print(f"error: unknown experiment {args.experiment!r} (known: {known})",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown experiment {args.experiment!r} (known: {known})")
     cfg = ExperimentConfig.from_json(args.config)
     if cfg.experiment != args.experiment:
-        print(f"error: config file is for {cfg.experiment!r}, "
-              f"asked to verify {args.experiment!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"config file is for {cfg.experiment!r}, "
+                         f"asked to verify {args.experiment!r}")
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     report = run_experiment(cfg)
@@ -128,27 +126,19 @@ def _cmd_norm(args) -> int:
     try:
         samples = np.loadtxt(args.csv, dtype=float, ndmin=1)
     except (OSError, ValueError) as e:
-        print(f"error: {args.csv}: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.csv}: {e}") from e
     if samples.ndim != 1 or samples.size == 0:
-        print("error: expected a nonempty single-column file", file=sys.stderr)
-        return 2
+        raise ValueError("expected a nonempty single-column file")
     box = ((args.lo, args.lo + args.h * samples.size),)
     f = GridFunction(box, args.h, samples)
     variable = args.p_limit is not None or args.p_amplitude is not None
     if variable == (args.p is not None):
-        print("error: give either --p or both --p-limit and --p-amplitude",
-              file=sys.stderr)
-        return 2
+        raise ValueError("give either --p or both --p-limit and --p-amplitude")
     if variable:
         if args.p_limit is None or args.p_amplitude is None:
-            print("error: --p-limit and --p-amplitude go together",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--p-limit and --p-amplitude go together")
         if args.power_weight is not None:
-            print("error: --power-weight applies to constant exponents only",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--power-weight applies to constant exponents only")
         pex = ExponentFunction.log_decay(args.p_limit, args.p_amplitude)
         value = luxemburg_norm(f, pex)
     else:
@@ -166,9 +156,9 @@ def _cmd_weight_const(args) -> int:
     else:
         w = Weight.power(args.exponent, multiplier=args.multiplier)
     if args.ap is None and args.rh is None and args.apq is None:
-        print("error: request at least one of --ap, --rh, --apq",
-              file=sys.stderr)
-        return 2
+        raise ValueError("request at least one of --ap, --rh, --apq")
+    if not (-math.inf < args.lo < args.hi < math.inf and 0 < args.h < math.inf):
+        raise ValueError("need finite --lo < --hi and a finite --h > 0")
     family = weight_cube_family(
         ((args.lo, args.hi),),
         int(np.ceil(np.log2(8.0 * args.h))),
@@ -182,11 +172,7 @@ def _cmd_weight_const(args) -> int:
                                                   family))):
         if getattr(args, name) is None:
             continue
-        try:
-            rep = fn()
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        rep = fn()
         payload[name] = rep.to_json_dict()
         all_stable = all_stable and rep.stable
     _print_json(payload)
@@ -194,12 +180,8 @@ def _cmd_weight_const(args) -> int:
 
 
 def _cmd_kernel_check(args) -> int:
-    try:
-        kernel = KenigSteinKernel(m=args.m, n=args.n, gamma=args.gamma,
-                                  order=args.order)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    kernel = KenigSteinKernel(m=args.m, n=args.n, gamma=args.gamma,
+                              order=args.order)
     size = kernel_size_check(kernel, args.samples, seed=args.seed)
     smooth = kernel_smoothness_check(kernel, args.order,
                                      max(100, args.samples // 2),
@@ -233,7 +215,8 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, HypothesisError) as e:
+    except (ValueError, OSError, HypothesisError) as e:
+        # bad input, ConfigError and library preconditions included: exit 2
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,11 @@
 """Experiment configuration: JSON schema, defaults, and field-path errors.
 
-A config is a plain JSON object; every experiment reads the subset of fields
-it needs and rejects the rest at hypothesis-check time.  Parsing failures
-carry the offending field path (or file line for malformed JSON) so a broken
-config is a one-look fix.
+A config is a plain JSON object.  Parsing rejects unknown keys and malformed
+values; its errors carry the offending field path (or file line for
+malformed JSON) so a broken config is a one-look fix.  Each experiment then
+checks the fields it reads against its hypotheses and ignores the fields it
+does not read, except ``weights``: the runs that take no weight (annuli,
+bounded-slots, var-frac-hardy, extrapolation) refuse it.
 
 Top-level keys:
   experiment         registry id (string, required)

@@ -37,7 +37,7 @@ from .kernels import (
     taylor_polynomial,
     taylor_remainder_check,
 )
-from .maximal import Mollifier, frac_maximal, grand_maximal, hl_maximal, iterated_maximal
+from .maximal import Mollifier, frac_maximal, grand_maximal, hl_maximal
 from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
 from .varexp import (
     _reciprocal_target,
@@ -47,7 +47,6 @@ from .varexp import (
     luxemburg_norm,
     maximal_opnorm_estimate,
     modular,
-    rubio_iterate,
     rubio_properties_check,
 )
 from .weights import (
@@ -256,6 +255,16 @@ def _slots(cfg: ExperimentConfig, *, bounded: int | None = None,
     return m, n, cfg.gamma
 
 
+def _inv_target(cfg: ExperimentConfig, ps, gamma: float, n: int) -> float:
+    """1/q = sum(1/p_i) - gamma/n, checked positive and against any given q."""
+    inv_q = sum(1.0 / v for v in ps) - gamma / n
+    _require(inv_q > 0, "gamma must stay below n * sum(1/p_i)")
+    if cfg.q is not None:
+        _require(abs(1.0 / cfg.q - inv_q) <= 1e-12,
+                 "q must satisfy 1/q = sum(1/p_i) - gamma/n")
+    return inv_q
+
+
 # -- cube-sum bound: dilated indicators with a side-power gain ---------------------
 
 
@@ -458,6 +467,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     """Two-sided constants for |x-c|^(-s) vs (3^l ell)^(-s) on the ring
     tiling of a star complement, with partition and scale-drift checks."""
     _require(cfg.n == 1, "the annular band is exact only in dimension one")
+    _require(not cfg.weights, "this run takes no weights")
     _require(cfg.s is not None and cfg.s > 0, "this run needs a decay s > 0")
     s = cfg.s
     _require(2.0 ** cfg.corpus.side_exponents[0] >= 4.0 * cfg.h,
@@ -600,12 +610,8 @@ def _hardy_exponent_setup(cfg: ExperimentConfig):
     if cfg.p is not None:
         _require(abs(1.0 / cfg.p - inv_p) <= 1e-12,
                  "p must satisfy 1/p = sum(1/p_i)")
-    inv_q = inv_p - gamma / n
-    _require(inv_q > 0, "gamma must stay below n * sum(1/p_i)")
+    inv_q = _inv_target(cfg, ps, gamma, n)
     q = 1.0 / inv_q
-    if cfg.q is not None:
-        _require(abs(1.0 / cfg.q - inv_q) <= 1e-12,
-                 "q must satisfy 1/q = sum(1/p_i) - gamma/n")
     p = 1.0 / inv_p
 
     if cfg.target_exponents is not None:
@@ -753,10 +759,9 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
     prod ||f_i||_{H^{p_i}} * prod sup|g_j| for bounded g_j."""
     l = cfg.bounded_slots
     m, n, gamma = _slots(cfg, bounded=l)
+    _require(not cfg.weights, "this run takes no weights")
     ps = tuple(e.p_minus for e in cfg.exponents)
-    inv_q = sum(1.0 / v for v in ps) - gamma / n
-    _require(inv_q > 0, "gamma must stay below n * sum(1/p_i)")
-    q = 1.0 / inv_q
+    q = 1.0 / _inv_target(cfg, ps, gamma, n)
     N = cfg.moment_order or 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
 
@@ -806,6 +811,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     the truncation is monotone in both caps (checked) and set wide enough to
     be inactive at the recorded caps."""
     m, n, gamma = _slots(cfg, constant=False)
+    _require(not cfg.weights, "this run takes no weights")
     exponents = cfg.exponents
     room = sum(1.0 / p.p_plus for p in exponents) - gamma / n
     _require(room > 0, "sum of 1/[p_i(.)]_+ must exceed gamma/n",
@@ -878,6 +884,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     """Execute the dual-witness / iteration pipeline on one concrete tuple
     and record every link of the chain as a measured constant."""
     m, n, gamma = _slots(cfg, constant=False)
+    _require(not cfg.weights, "this run takes no weights")
     scalars = cfg.hardy_exponents or tuple(0.75 * p.p_minus for p in cfg.exponents)
     _require(len(scalars) == m, "need one scalar Hardy exponent per slot")
     system = derive_system(cfg.exponents, scalars, gamma,
@@ -934,9 +941,11 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
          ok=split_res <= 1e-12 * (1.0 + sup_h))
 
     # per-slot iteration: unit norms, truncated-series norm bound, weights
+    depth = 8
     slot_weights = []
-    iterates = []
+    iterate_norms = []
     rubio_meta = []
+    D = np.ones_like(h_fn.samples)
     for i in range(m):
         s_i, q_i = scalars[i], system.slot_scalars[i]
         sigma = system.sigmas[i]
@@ -947,21 +956,20 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         step(f"slot_unit_norm_{i}", unit, 1.0, None,
              ok=abs(unit - 1.0) <= 1e-4)
         A = maximal_opnorm_estimate(sigma, [u, hl_maximal(u)])
-        R = rubio_iterate(u, sigma, A, depth=8)
-        tail = luxemburg_norm(iterated_maximal(u, 9), sigma) / (2.0 * A) ** 9
+        props = rubio_properties_check(u, sigma, A, depth=depth,
+                                       power=s_i / q_i, rh_order=q_i / s_i)
+        R = props.iterate
+        tail = (luxemburg_norm(props.next_power, sigma)
+                / (2.0 * A) ** (depth + 1))
         surr = luxemburg_norm(R, sigma) ** (s_i / q_i)
         step(f"rdf_norm_{i}", surr, 1.0,
              2.0 ** (s_i / q_i) * (1.0 + tail) * (1.0 + 1e-9))
-        props = rubio_properties_check(u, sigma, A, depth=8,
-                                       power=s_i / q_i, rh_order=q_i / s_i)
         rubio_meta.append(dict(props.to_json_dict(), opnorm=A, tail=tail))
-        iterates.append(R)
+        iterate_norms.append(surr)
         slot_weights.append(R.power(s_i / q_i))
+        D = D * R.samples ** (q / q_i)
 
     # h <= R_i(...) pointwise lifts to the pairing
-    D = np.ones_like(h_fn.samples)
-    for R, q_i in zip(iterates, system.slot_scalars):
-        D = D * R.samples ** (q / q_i)
     D_fn = F.with_samples(D)
     dominated = integrate(G * D_fn)
     step("iteration_domination", pairing, dominated, 1.0 + 1e-12)
@@ -980,9 +988,10 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
          ok=math.isfinite(hypothesis_constant))
 
     # per-slot Hoelder, rescaling, and weight-norm accounting
-    for i, (mf, W, val) in enumerate(zip(maximal_fns, slot_weights,
-                                         slot_integrals)):
-        s_i, q_i = scalars[i], system.slot_scalars[i]
+    final = norm_F
+    for i, (mf, W, val, lux_r) in enumerate(zip(maximal_fns, slot_weights,
+                                                slot_integrals, iterate_norms)):
+        s_i = scalars[i]
         pbar = system.p_bars[i]
         pbar_c = pbar.conjugate()
         lux_ms = luxemburg_norm(mf.power(s_i), pbar)
@@ -991,13 +1000,9 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         lux_m = luxemburg_norm(mf, cfg.exponents[i])
         step(f"slot_rescale_{i}", lux_m ** s_i, lux_ms, None,
              ok=abs(lux_m ** s_i / lux_ms - 1.0) <= 1e-5)
-        lux_r = luxemburg_norm(iterates[i], system.sigmas[i]) ** (s_i / q_i)
+        final /= lux_m
         step(f"weight_norm_{i}", lux_w, lux_r, None,
              ok=abs(lux_w / lux_r - 1.0) <= 1e-5)
-
-    final = norm_F
-    for mf, pex in zip(maximal_fns, cfg.exponents):
-        final /= luxemburg_norm(mf, pex)
 
     metadata = {
         "system": system.to_json_dict(),

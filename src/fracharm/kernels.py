@@ -130,7 +130,7 @@ def _subdivision_profile_sum(kernel: KernelSpec, h: float) -> float:
     return total
 
 
-def apply_frac_operator(kernel: KernelSpec, fs, points=None, chunk: int | None = None):
+def apply_frac_operator(kernel: KernelSpec, fs, points=None):
     """Midpoint-quadrature application of the m-linear fractional operator.
 
     With ``points=None`` evaluates at every cell center and returns a
@@ -169,8 +169,7 @@ def apply_frac_operator(kernel: KernelSpec, fs, points=None, chunk: int | None =
             sing_cells = np.intersect1d(sing_cells, sup[i])
         sing_pos = [np.searchsorted(sup[i], sing_cells) for i in range(kernel.m)]
         tuples_per_x = int(np.prod([idx.size for idx in sup]))
-        if chunk is None:
-            chunk = max(1, (1 << 22) // max(tuples_per_x, 1))
+        chunk = max(1, (1 << 22) // max(tuples_per_x, 1))
         spec = _EINSUM[kernel.m]
         for c0 in range(0, X.shape[0], chunk):
             xb = X[c0 : c0 + chunk]
@@ -216,6 +215,8 @@ def _sample_configurations(kernel: KernelSpec, count: int, seed: int,
     per_slot=True every individual slot distance must clear min_t instead,
     which is the right admissible set for derivative estimates (the kernel
     has a kink on each slot diagonal, not only at t = 0)."""
+    if count < 1:
+        raise ValueError("need at least one sample configuration")
     rng = np.random.default_rng(seed)
     xs = np.empty((0, kernel.n))
     ys = np.empty((0, kernel.m, kernel.n))

@@ -13,7 +13,9 @@ Every identity is sampled and the residuals are returned as a certificate
 rather than trusted.
 
 The Rubio de Francia iteration is implemented truncated, with the geometric
-tail quantified instead of appealing to the infinite series.
+tail quantified instead of appealing to the infinite series.  The property
+check runs the series once and hands the iterate and M^(depth+1) h to the
+extrapolation chain, which reads them from its report.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridFunction
-from .maximal import MaximalConfig, hl_maximal
+from .maximal import hl_maximal
 from .weights import Weight, WeightConstantReport, rh_constant, weight_cube_family
 
 __all__ = [
@@ -181,7 +183,7 @@ def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
             break
         hi *= 2.0
     else:
-        raise RuntimeError("modular bracket failed to close from above")
+        raise ValueError("modular bracket failed to close from above")
     lo = hi / 2.0
     for _ in range(4096):
         if rho(lo) > 1.0:
@@ -189,7 +191,7 @@ def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
         hi = lo
         lo /= 2.0
     else:
-        raise RuntimeError("modular bracket failed to close from below")
+        raise ValueError("modular bracket failed to close from below")
     while hi - lo > 1e-8 * hi:
         mid = 0.5 * (lo + hi)
         if rho(mid) > 1.0:
@@ -429,9 +431,9 @@ def derive_system(exponents, scalars, gamma: float, *, window=None,
 # -- Rubio de Francia iteration ---------------------------------------------------
 
 
-def rubio_iterate(h: GridFunction, sigma: ExponentFunction, opnorm: float,
-                  depth: int) -> GridFunction:
-    """Truncated series sum_{j<=depth} M^j h / (2 * opnorm)^j; depth 0 is h."""
+def _rubio_series(h: GridFunction, sigma: ExponentFunction, opnorm: float,
+                  depth: int):
+    """The truncated series and the last power M^depth h it summed."""
     if np.any(h.samples < 0):
         raise ValueError("input must be nonnegative")
     if sigma.p_minus <= 1.0:
@@ -440,15 +442,20 @@ def rubio_iterate(h: GridFunction, sigma: ExponentFunction, opnorm: float,
         raise ValueError("operator norm estimate must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    cfg = MaximalConfig.for_grid(h)
     acc = h.samples.copy()
     g = h
     scale = 1.0
     for _ in range(depth):
-        g = hl_maximal(g, cfg)
+        g = hl_maximal(g)
         scale /= 2.0 * opnorm
         acc = acc + scale * g.samples
-    return h.with_samples(acc)
+    return h.with_samples(acc), g
+
+
+def rubio_iterate(h: GridFunction, sigma: ExponentFunction, opnorm: float,
+                  depth: int) -> GridFunction:
+    """Truncated series sum_{j<=depth} M^j h / (2 * opnorm)^j; depth 0 is h."""
+    return _rubio_series(h, sigma, opnorm, depth)[0]
 
 
 def _interior_family(g: GridFunction):
@@ -473,6 +480,8 @@ class RubioReport:
     a1_ok: bool
     rh_report: WeightConstantReport
     metadata: dict
+    iterate: GridFunction = field(repr=False, compare=False)
+    next_power: GridFunction = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -497,18 +506,15 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
     over interior cubes against 2 * opnorm plus the quantified truncation
     tail; (4) reverse-Hoelder behaviour of the ``power`` of the output.
     """
-    rk = rubio_iterate(h, sigma, opnorm, depth)
+    rk, last = _rubio_series(h, sigma, opnorm, depth)
     margin = float(np.min(rk.samples - h.samples))
 
     nf = luxemburg_norm(h, sigma)
     ratio = math.inf if nf == 0.0 else luxemburg_norm(rk, sigma) / nf
 
     # one more maximal application quantifies the dropped tail
-    cfg = MaximalConfig.for_grid(h)
-    g = h
-    for _ in range(depth + 1):
-        g = hl_maximal(g, cfg)
-    tail = g.samples / (2.0 * opnorm) ** (depth + 1)
+    nxt = hl_maximal(last)
+    tail = nxt.samples / (2.0 * opnorm) ** (depth + 1)
 
     family = _interior_family(h)
     est = 0.0
@@ -543,6 +549,8 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
         metadata={"opnorm": opnorm, "depth": depth, "power": power,
                   "rh_order": rh_order, "worst_cube": worst,
                   "tail_sup": float(np.max(tail))},
+        iterate=rk,
+        next_power=nxt,
     )
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracharm
 from fracharm.cli import cli_main
@@ -254,6 +256,97 @@ class TestKernelCheck:
     def test_bad_gamma_exits_two(self, capsys):
         assert cli_main(["kernel-check", "--m", "1", "--n", "1",
                          "--gamma", "1.5"]) == 2
+
+
+class TestLibraryPreconditions:
+    """A library precondition is bad input: exit 2 with one error line,
+    never exit 1 (a failed gate) and never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["norm", "{csv}", "--p", "2", "--h", "0"], "degenerate box interval"),
+        (["norm", "{csv}", "--p", "-1"], "exponent p must be positive"),
+        (["weight-const", "--exponent", "-2", "--ap", "2"],
+         "not locally integrable"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--lo", "0",
+          "--hi", "0.01"], "empty level range"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--lo", "1",
+          "--hi", "0"], "need finite --lo < --hi"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--h", "0"],
+         "a finite --h > 0"),
+        (["kernel-check", "--m", "2", "--n", "1", "--gamma", "0.5",
+          "--samples", "0"], "at least one sample"),
+        (["verify", "star-sum", "--config", "{config}", "--out", "{csv}"],
+         "File exists"),
+    ], ids=["norm-zero-step", "norm-negative-p", "weight-nonintegrable",
+            "weight-window-too-small", "weight-reversed-window",
+            "weight-zero-step", "kernel-zero-samples", "verify-out-is-a-file"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, argv, message):
+        csv = tmp_path / "v.csv"
+        csv.write_text("1\n2\n3\n")
+        config = write_config(tmp_path, STAR)
+        code = cli_main([a.format(csv=csv, config=config) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+@pytest.fixture(scope="module")
+def samples_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "v.csv"
+    path.write_text("0.5\n2.0\n0.0\n1.5\n")
+    return str(path)
+
+
+# numeric CLI arguments, including zero, negative and reversed values; grid
+# steps come from a short list so no draw asks for a huge cube family
+_reals = st.floats(min_value=-3.0, max_value=5.0, allow_nan=False)
+_steps = st.sampled_from(["-0.5", "0", "0.0625", "0.25", "1", "4"])
+_ends = st.sampled_from(["-8", "-1", "0", "0.01", "1", "8"])
+
+
+def _num(x: float) -> str:
+    # plain decimals: argparse would read "-1e-05" as an option, not a value
+    return f"{x:.9f}"
+
+
+class TestExitCodeContract:
+    """cli_main never raises and returns 0, 1 or 2 on any numbers."""
+
+    def check(self, argv):
+        code = cli_main(argv)
+        assert code in (0, 1, 2), argv
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=_reals, h=_steps, lo=_ends, weight=st.none() | _reals,
+           variable=st.booleans(), amplitude=_reals)
+    def test_norm(self, samples_csv, p, h, lo, weight, variable, amplitude):
+        argv = ["norm", samples_csv, "--h", h, "--lo", lo]
+        if variable:
+            argv += ["--p-limit", _num(p), "--p-amplitude", _num(amplitude)]
+        else:
+            argv += ["--p", _num(p)]
+        if weight is not None:
+            argv += ["--power-weight", _num(weight)]
+        self.check(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=_reals, order=_reals, lo=_ends, hi=_ends, h=_steps,
+           request=st.sampled_from(["--ap", "--rh", "--apq"]), q=_reals)
+    def test_weight_const(self, exponent, order, lo, hi, h, request, q):
+        argv = ["weight-const", "--exponent", _num(exponent), "--lo", lo,
+                "--hi", hi, "--h", h, request, _num(order)]
+        if request == "--apq":
+            argv.append(_num(q))
+        self.check(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(-1, 3), n=st.integers(-1, 3), gamma=_reals,
+           order=st.integers(-1, 3), samples=st.integers(-5, 40))
+    def test_kernel_check(self, m, n, gamma, order, samples):
+        self.check(["kernel-check", "--m", str(m), "--n", str(n),
+                    "--gamma", _num(gamma), "--order", str(order),
+                    "--samples", str(samples)])
 
 
 class TestMisc:

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import fracharm.experiments
+import fracharm.maximal
+import fracharm.varexp
 from fracharm.config import ExperimentConfig
 from fracharm.experiments import (
     EXPERIMENTS,
@@ -252,6 +255,11 @@ class TestBoundedSlots:
         with pytest.raises(HypothesisError, match="bounded_slots"):
             run_experiment(self.config(bounded_slots=2, exponents=[]))
 
+    def test_explicit_q_checked(self):
+        with pytest.raises(HypothesisError,
+                           match=r"1/q = sum\(1/p_i\) - gamma/n"):
+            run_experiment(self.config(q=123))
+
     def test_operator_linear_in_bounded_slot(self):
         # doubling g doubles T(f, g): the ratio against sup|g| is invariant
         box, h = ((-2.0, 2.0),), 2.0 ** -5
@@ -334,8 +342,42 @@ class TestExtrapolation:
         with pytest.raises(HypothesisError, match="strictly below"):
             run_experiment(cfg)
 
+    def test_ladder_runs_once_per_slot(self, monkeypatch):
+        # opnorm probe (1), its estimate (2) and one series of depth + 1
+        # powers (9): the chain reads the iterate and the tail from the
+        # property check instead of running the ladder again
+        calls = []
+        real = fracharm.maximal.hl_maximal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (fracharm.maximal, fracharm.varexp, fracharm.experiments):
+            monkeypatch.setattr(mod, "hl_maximal", counting)
+        rep = run_experiment(make(EXTRAP_BASE))
+        assert rep.passed
+        assert len(calls) <= 12 * EXTRAP_BASE["m"]
+
 
 class TestHarness:
+    @pytest.mark.parametrize("base", [
+        dict(experiment="annuli", s=2.0, corpus={"seed": 3, "count": 2}),
+        dict(experiment="bounded-slots", m=2, gamma=0.5, bounded_slots=1,
+             exponents=[1.0], grid=FH_GRID, corpus={"seed": 11, "count": 2}),
+        dict(experiment="var-frac-hardy", m=2, gamma=0.5,
+             exponents=[1.0, 1.0], grid=FH_GRID,
+             corpus={"seed": 5, "count": 2}),
+        EXTRAP_BASE,
+    ], ids=["annuli", "bounded-slots", "var-frac-hardy", "extrapolation"])
+    def test_weights_refused_where_unused(self, base):
+        # these runs have no weighted side; an unread weight would report
+        # an unweighted run as if it were weighted
+        power = {"kind": "power", "exponent": 0.5}
+        cfg = make(dict(base, weights=[power] * base.get("m", 1)))
+        with pytest.raises(HypothesisError, match="takes no weights"):
+            run_experiment(cfg)
+
     def test_unknown_experiment(self):
         with pytest.raises(HypothesisError, match="unknown experiment"):
             run_experiment(make(experiment="mystery"))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracharm.grid import Cube, GridFunction, weighted_lp_quasinorm
+from fracharm.maximal import iterated_maximal
 from fracharm.varexp import (
     ExponentFunction,
     derive_system,
@@ -336,6 +337,23 @@ class TestRubioPropertiesCheck:
         assert d["domination_ok"] and d["a1_ok"]
         assert d["metadata"]["depth"] == 4
         assert "rh" in d and "constant" in d["rh"]
+
+    @pytest.mark.parametrize("h", [
+        uniform_profile(3),
+        uniform_profile(4, box=((-2.0, 2.0), (-2.0, 2.0)), h=2.0 ** -3),
+    ], ids=["1d", "2d"])
+    def test_hands_out_iterate_and_next_power(self, h):
+        # the chain reads both from the report, so they must be the bits
+        # the standalone functions compute
+        sigma = ExponentFunction.constant(2.0, dim=h.dim)
+        rep = rubio_properties_check(h, sigma, 1.5, 3)
+        assert np.array_equal(rep.iterate.samples,
+                              rubio_iterate(h, sigma, 1.5, 3).samples)
+        assert np.array_equal(rep.next_power.samples,
+                              iterated_maximal(h, 4).samples)
+        assert set(rep.to_json_dict()) == {
+            "domination_margin", "domination_ok", "norm_ratio", "a1_estimate",
+            "a1_bound", "a1_ok", "rh", "metadata"}
 
 
 class TestMaximalOpnormEstimate:
