@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .experiments import EXPERIMENT_SUMMARIES, EXPERIMENTS, HypothesisError, run_experiment
-from .grid import GridFunction, weighted_lp_quasinorm
+from .grid import GridFunction, tile_count, weighted_lp_quasinorm
 from .kernels import KenigSteinKernel, kernel_size_check, kernel_smoothness_check
 from .reports import json_safe, write_report_json, write_trials_csv
 from .varexp import ExponentFunction, luxemburg_norm
@@ -109,9 +109,10 @@ def _cmd_verify(args) -> int:
                          f"asked to verify {args.experiment!r}")
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
+    # an unusable output directory fails before the run, not after it
+    os.makedirs(args.out, exist_ok=True)
     report = run_experiment(cfg)
 
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, f"{args.experiment}.report.json")
     csv_path = os.path.join(args.out, f"{args.experiment}.trials.csv")
     write_report_json(report_path, report)
@@ -157,13 +158,21 @@ def _cmd_weight_const(args) -> int:
         w = Weight.power(args.exponent, multiplier=args.multiplier)
     if args.ap is None and args.rh is None and args.apq is None:
         raise ValueError("request at least one of --ap, --rh, --apq")
-    if not (-math.inf < args.lo < args.hi < math.inf and 0 < args.h < math.inf):
+    extent = args.hi - args.lo
+    if not (-math.inf < args.lo < args.hi < math.inf and extent < math.inf
+            and 0 < 8.0 * args.h < math.inf):
         raise ValueError("need finite --lo < --hi and a finite --h > 0")
-    family = weight_cube_family(
-        ((args.lo, args.hi),),
-        int(np.ceil(np.log2(8.0 * args.h))),
-        int(np.floor(np.log2(args.hi - args.lo))) - 1,
-        args.h)
+    # the top cube level is the largest j <= floor(log2(hi - lo)) - 1 whose
+    # side 2^j tiles the window, the finest is ceil(log2(8 h))
+    j_min = int(np.ceil(np.log2(8.0 * args.h)))
+    top = int(np.floor(np.log2(extent))) - 1
+    j_max = next((j for j in range(top, j_min - 1, -1) if tile_count(extent, 2.0 ** j)),
+                 None)
+    if j_max is None:
+        raise ValueError(
+            f"empty level range: no side 2^j with ceil(log2(8 h)) = {j_min} <= j <= "
+            f"floor(log2(hi - lo)) - 1 = {top} tiles the window ({args.lo}, {args.hi})")
+    family = weight_cube_family(((args.lo, args.hi),), j_min, j_max, args.h)
     payload: dict = {"weight": w.descriptor()}
     all_stable = True
     for name, fn in (("ap", lambda: ap_constant(w, args.ap, family)),

@@ -1051,3 +1051,6 @@ def run_experiment(cfg: ExperimentConfig):
         # a library precondition the hypothesis checks did not reach is
         # still a config the run cannot take: exit 2, never a traceback
         raise HypothesisError(str(e)) from e
+    except ArithmeticError as e:
+        # so is a Python float overflow on the config's numbers
+        raise HypothesisError(f"{type(e).__name__} on this config: {e}") from e

@@ -35,6 +35,7 @@ __all__ = [
     "DyadicFamily",
     "integrate",
     "weighted_lp_quasinorm",
+    "tile_count",
     "dyadic_cubes",
     "multi_indices",
 ]
@@ -360,6 +361,16 @@ class DyadicFamily:
                 "levels": [self.j_min, self.j_max]}
 
 
+def tile_count(extent: float, side: float) -> int:
+    """How many cubes of this side tile an interval of this extent, to a
+    relative 1e-9; 0 when they do not."""
+    raw = extent / side
+    if not math.isfinite(raw):
+        return 0
+    cnt = round(raw)
+    return cnt if cnt >= 1 and abs(raw - cnt) <= 1e-9 * max(1.0, raw) else 0
+
+
 def dyadic_cubes(window, j_min: int, j_max: int, h: float | None = None) -> DyadicFamily:
     """All dyadic cubes of sides 2^j, j_min <= j <= j_max, tiling the window.
 
@@ -377,9 +388,8 @@ def dyadic_cubes(window, j_min: int, j_max: int, h: float | None = None) -> Dyad
         side = 2.0 ** j
         counts = []
         for lo, hi in window:
-            raw = (hi - lo) / side
-            cnt = round(raw)
-            if cnt < 1 or abs(raw - cnt) > 1e-9 * max(1.0, raw):
+            cnt = tile_count(hi - lo, side)
+            if not cnt:
                 raise ValueError(
                     f"window extent ({lo}, {hi}) is not tiled by side 2^{j}"
                 )

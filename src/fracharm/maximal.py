@@ -8,6 +8,11 @@ function counts as zero, consistent with the package-wide compact-support
 convention, which also makes every in-window value exact rather than
 boundary-clipped.
 
+Each rung costs O(size): its window sums are basic slices of one summed-area
+table, built and edge-padded once per pass, and the max over the windows
+holding a cell is a running max (van Herk / Gil-Werman, as in
+``scipy.ndimage.maximum_filter1d``) along each axis in turn.
+
 Exactness notes relied on by tests: with the floor at one cell the maximal
 function dominates |f| sample by sample, and for indicator data whose cube is
 grid aligned the maximizing windows are realized exactly whenever their cell
@@ -22,8 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve as _ndimage_convolve
+from scipy.ndimage import maximum_filter1d
 
 from .grid import GridFunction
 
@@ -86,17 +91,17 @@ def _summed_area_table(arr: np.ndarray) -> np.ndarray:
     return table
 
 
-def _window_sums(table: np.ndarray, L: int) -> np.ndarray:
+def _window_sums(table: np.ndarray, pad: int, L: int) -> np.ndarray:
     # sums over every L^n window intersecting the array, zeros outside, read
-    # at the clipped window corners (0 = lower, 1 = upper) by inclusion-
-    # exclusion, first axis fastest: one fixed term order for every n
+    # at the window corners (0 = lower, 1 = upper) by inclusion-exclusion,
+    # first axis fastest: one fixed term order for every n.  The table is
+    # edge-padded by pad >= L - 1 cells, so a corner outside the array reads
+    # table[0] = 0 below or table[size] above, the clipped corner, and every
+    # corner is a basic slice
     ends = []
-    for axis, size in enumerate(table.shape):
-        start = np.arange(-(L - 1), size - 1)
-        shape = [1] * table.ndim
-        shape[axis] = -1
-        ends.append((np.maximum(start, 0).reshape(shape),
-                     np.minimum(start + L, size - 1).reshape(shape)))
+    for size in table.shape:
+        cells = size - 2 * pad - 1
+        ends.append((slice(pad - L + 1, pad + cells), slice(pad + 1, pad + cells + L)))
     out = 0.0
     for corner in itertools.product((1, 0), repeat=table.ndim):
         corner = corner[::-1]
@@ -107,18 +112,23 @@ def _window_sums(table: np.ndarray, L: int) -> np.ndarray:
 
 def _ladder_pass(f: GridFunction, scale_of_length, cfg: MaximalConfig) -> GridFunction:
     absf = np.abs(f.samples)
-    table = _summed_area_table(absf)
+    lengths = cfg.cell_lengths(f.h)
+    pad = lengths[-1] - 1
+    table = np.pad(_summed_area_table(absf), pad, mode="edge")
     best = None
-    for L in cfg.cell_lengths(f.h):
+    for L in lengths:
         if L == 1:
             # bypass the table so the one-cell cube is the sample itself,
             # making M f >= |f| exact rather than within rounding
             cand = absf * scale_of_length(f.h)
             best = cand if best is None else np.maximum(best, cand)
             continue
-        vals = _window_sums(table, L)
-        for axis in range(f.dim):
-            vals = sliding_window_view(vals, L, axis=axis).max(-1)
+        vals = _window_sums(table, pad, L)
+        for axis, cells in enumerate(absf.shape):
+            # running max over L consecutive window sums; output L // 2 + i
+            # is the max of sums i .. i + L - 1, the windows holding cell i
+            vals = maximum_filter1d(vals, L, axis=axis)
+            vals = vals[(slice(None),) * axis + (slice(L // 2, L // 2 + cells),)]
         cand = vals * (scale_of_length(L * f.h) / float(L) ** f.dim)
         best = cand if best is None else np.maximum(best, cand)
     return f.with_samples(best)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,23 @@ class TestWeightConst:
     def test_invalid_order_exits_two(self, capsys):
         assert cli_main(["weight-const", "--ap", "1.0"]) == 2
 
+    def test_top_level_tiles_the_window(self, capsys):
+        # 9 is no multiple of 2^2 or 2^1, so the top level falls to 2^0
+        code = cli_main(["weight-const", "--exponent", "0.5", "--ap", "2",
+                         "--lo", "-8", "--hi", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ap"]["family"]["levels"] == [-5, 0]
+
+    def test_window_no_level_tiles_exits_two(self, capsys):
+        # 0.3 is no multiple of any side 2^-5 .. 2^-3
+        code = cli_main(["weight-const", "--exponent", "0.5", "--ap", "2",
+                         "--lo", "0", "--hi", "0.3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no side 2^j with ceil(log2(8 h)) = -5 <= j <=" in err
+        assert "= -3 tiles the window (0.0, 0.3)" in err
+
 
 class TestKernelCheck:
     def test_model_kernel_constants(self, capsys):
@@ -273,14 +291,26 @@ class TestLibraryPreconditions:
           "--hi", "0"], "need finite --lo < --hi"),
         (["weight-const", "--exponent", "0.5", "--ap", "2", "--h", "0"],
          "a finite --h > 0"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--lo=-1e308",
+          "--hi", "1e308"], "need finite --lo < --hi"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--h", "1e308"],
+         "a finite --h > 0"),
+        (["weight-const", "--exponent", "0.5", "--ap", "2", "--lo", "-8",
+          "--hi", "1", "--h", "5e-324"], "not tiled by side 2^-1071"),
         (["kernel-check", "--m", "2", "--n", "1", "--gamma", "0.5",
           "--samples", "0"], "at least one sample"),
         (["verify", "star-sum", "--config", "{config}", "--out", "{csv}"],
          "File exists"),
     ], ids=["norm-zero-step", "norm-negative-p", "weight-nonintegrable",
             "weight-window-too-small", "weight-reversed-window",
-            "weight-zero-step", "kernel-zero-samples", "verify-out-is-a-file"])
-    def test_exits_two_with_one_line(self, tmp_path, capsys, argv, message):
+            "weight-zero-step", "weight-window-overflows", "weight-step-overflows",
+            "weight-subnormal-step", "kernel-zero-samples", "verify-out-is-a-file"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                     argv, message):
+        def must_not_run(cfg):
+            raise AssertionError("the experiment ran before the input was checked")
+
+        monkeypatch.setattr("fracharm.cli.run_experiment", must_not_run)
         csv = tmp_path / "v.csv"
         csv.write_text("1\n2\n3\n")
         config = write_config(tmp_path, STAR)
@@ -347,6 +377,85 @@ class TestExitCodeContract:
         self.check(["kernel-check", "--m", str(m), "--n", str(n),
                     "--gamma", _num(gamma), "--order", str(order),
                     "--samples", str(samples)])
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# shipped configs the verify fuzz mutates; every base also states the two
+# corpus ranges it leaves at their defaults, so each has a pair to reverse
+_FUZZ_BASES = {}
+for _stem in ("star_sum_unit", "tail_sum_unit", "annuli"):
+    _base = json.loads((CONFIG_DIR / f"{_stem}.json").read_text())
+    _base["corpus"].setdefault("side_exponents", [-2, 1])
+    _base["corpus"].setdefault("lambda_range", [0.5, 2.0])
+    _FUZZ_BASES[_stem] = _base
+
+
+def _numeric_paths(d, prefix=()):
+    """Paths of the numeric leaves and number pairs of a config, leaving out
+    the corpus count, which the fuzz draws on its own."""
+    for key, value in d.items():
+        path = prefix + (key,)
+        if isinstance(value, dict):
+            yield from _numeric_paths(value, path)
+        elif isinstance(value, list):
+            yield path
+            for i in range(len(value)):
+                yield path + (i,)
+        elif isinstance(value, (int, float)) and path != ("corpus", "count"):
+            yield path
+
+
+def _mutated(value, kind):
+    # reversal swaps the ends of a pair and leaves a single number as it is
+    if kind == "reversed":
+        return value[::-1] if isinstance(value, list) else value
+    if isinstance(value, list):
+        return [_mutated(v, kind) for v in value]
+    if kind == "zero":
+        return type(value)(0)
+    if kind == "negative":
+        return -abs(value) if value else type(value)(-1)
+    return 10 ** 18 if isinstance(value, int) else 1e300  # huge
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    stem = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    cfg = json.loads(json.dumps(_FUZZ_BASES[stem]))
+    paths = sorted(_numeric_paths(cfg), key=str)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        kind = draw(st.sampled_from(["zero", "negative", "reversed", "huge"]))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = _mutated(node[path[-1]], kind)
+    cfg["corpus"]["count"] = draw(st.integers(1, 2))
+    return cfg
+
+
+class TestVerifyConfigFuzz:
+    """verify on mutated shipped configs: never a traceback, only 0, 1 or 2,
+    and 1 exactly when the written report failed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=_fuzzed_configs())
+    def test_exit_code_matches_report(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "c.json")
+            with open(config, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(tmp, "out")
+            code = cli_main(["verify", cfg["experiment"], "--config", config,
+                             "--out", out])
+            assert code in (0, 1, 2), cfg
+            report = os.path.join(out, f"{cfg['experiment']}.report.json")
+            if code == 2:
+                assert not os.path.exists(report), cfg
+            else:
+                with open(report) as fh:
+                    assert json.load(fh)["passed"] is (code == 0), cfg
 
 
 class TestMisc:

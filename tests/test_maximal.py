@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,60 @@ class TestLadderBruteForce:
         with pytest.warns(RuntimeWarning):
             frac = frac_maximal(f, 0.5, cfg).samples
         np.testing.assert_allclose(frac, brute_force_ladder(f, 0.5, cfg), rtol=1e-12)
+
+
+def gather_ladder(f, gamma, cfg):
+    """The ladder by gathers at clipped corner indices of an unpadded
+    summed-area table and a sliding-window max over every window: a
+    bit-level oracle for the sliced table and the running max."""
+    absf = np.abs(f.samples)
+    cs = absf
+    for axis in range(absf.ndim):
+        cs = np.cumsum(cs, axis=axis)
+    table = np.zeros(tuple(s + 1 for s in absf.shape))
+    table[(slice(1, None),) * absf.ndim] = cs
+    best = None
+    for L in cfg.cell_lengths(f.h):
+        if L == 1:
+            cand = absf * f.h ** gamma
+            best = cand if best is None else np.maximum(best, cand)
+            continue
+        ends = []
+        for axis, size in enumerate(table.shape):
+            start = np.arange(-(L - 1), size - 1)
+            shape = [1] * table.ndim
+            shape[axis] = -1
+            ends.append((np.maximum(start, 0).reshape(shape),
+                         np.minimum(start + L, size - 1).reshape(shape)))
+        vals = 0.0
+        for corner in itertools.product((1, 0), repeat=table.ndim):
+            corner = corner[::-1]
+            term = table[tuple(e[c] for e, c in zip(ends, corner))]
+            vals = vals - term if (table.ndim - sum(corner)) % 2 else vals + term
+        for axis in range(f.dim):
+            vals = sliding_window_view(vals, L, axis=axis).max(-1)
+        cand = vals * ((L * f.h) ** gamma / float(L) ** f.dim)
+        best = cand if best is None else np.maximum(best, cand)
+    return best
+
+
+class TestLadderBitForBit:
+    @pytest.mark.parametrize("ratio", [2.0 ** 0.25, 1.5])
+    @pytest.mark.parametrize("box", [((-2.0, 2.0),), ((-3.0, 3.0),), ((-1.0, 1.8125),),
+                                     ((-1.0, 1.0), (-0.5, 0.5))],
+                             ids=["64", "96", "45", "32x16"])
+    def test_matches_gather_and_sliding_max(self, box, ratio):
+        h = 2.0 ** -4
+        g = GridFunction.zeros(box, h)
+        f = g.with_samples(np.random.default_rng(7).uniform(-1.0, 1.0, g.samples.shape))
+        cfg = MaximalConfig.for_grid(f, ratio=ratio)
+        lengths = cfg.cell_lengths(h)
+        assert lengths[-1] == min(g.samples.shape)
+        assert {L % 2 for L in lengths if L > 1} == {0, 1}
+        assert np.array_equal(hl_maximal(f, cfg).samples, gather_ladder(f, 0.0, cfg))
+        with pytest.warns(RuntimeWarning):
+            frac = frac_maximal(f, 0.5, cfg).samples
+        assert np.array_equal(frac, gather_ladder(f, 0.5, cfg))
 
 
 class TestFracMaximal:
