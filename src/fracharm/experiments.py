@@ -1,29 +1,29 @@
 """Experiment registry: measure both sides of each bound over deterministic corpora.
 
 Every run draws its random data once at base scale and then dilates grid,
-cubes, and data jointly by 2**k across the sweep.  Joint dilation keeps the
-cell count fixed (cost linear in sweep length) and makes the ratio of any
-homogeneous bound exactly scale-covariant, so a nonzero log-log trend slope
-signals a mismatched exponent relation rather than a resolution artifact.
+cubes, data and power-weight centres jointly by 2**k across the sweep.
+Joint dilation keeps the cell count fixed (cost linear in sweep length) and
+makes the ratio of any homogeneous bound exactly scale-covariant, so a
+nonzero log-log trend slope signals a mismatched exponent relation rather
+than a resolution artifact.
 No run gates resolution: only the unit tests
 ``tests/test_experiments.py::TestStarSum::test_halving_h_stable`` and
 ``::TestTailSum::test_halving_h_stable`` halve h and compare max ratios
 (ROADMAP item 5b plans a run-time gate).
 
 Hypothesis checks (exponent relations, weight-constant stability, decay
-thresholds) always run before any heavy computation and raise a structured
+thresholds) always run before any heavy computation and raise a
 HypothesisError; a config that violates them never produces a report.
 
-Trials are independent and run on a thread pool sized by FRACHARM_THREADS
-(default: cpu count, capped at 8); results are reduced in trial order, so
-reports and CSV files are byte-identical across runs and thread counts.
+Trials run one after another in trial order, in one thread, so reports and
+CSV files are byte-deterministic for a given config and seed.  A trial whose
+side overflows to inf or nan is refused with a HypothesisError naming the
+trial and scale, never scored.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,38 +77,15 @@ __all__ = [
 class HypothesisError(RuntimeError):
     """A run's stated hypotheses fail; raised before heavy computation."""
 
-    def __init__(self, message: str, details: dict | None = None):
-        super().__init__(message)
-        self.details = dict(details or {})
-
 
 # -- shared machinery ------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    env = os.environ.get("FRACHARM_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise HypothesisError("FRACHARM_THREADS must be a positive integer")
-        if n < 1:
-            raise HypothesisError("FRACHARM_THREADS must be a positive integer")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def _map_trials(fn, count: int):
-    """Apply fn to 0..count-1, concurrently but reduced in trial order."""
-    workers = _thread_count()
-    if workers <= 1 or count <= 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def _dilated(obj, k: int):
-    """A box, cube or grid function dilated by 2**k about the origin."""
+    """A box, cube, grid function or weight dilated by 2**k about the origin.
+
+    A power weight's centre moves with the grid, so |x - c|^b stays
+    homogeneous under the sweep; constant and sampled weights are kept."""
     if k == 0:
         return obj
     s = 2.0 ** k
@@ -116,6 +93,11 @@ def _dilated(obj, k: int):
         return obj.scaled(s, about=(0.0,) * obj.dim)
     if isinstance(obj, GridFunction):
         return GridFunction(_dilated(obj.box, k), obj.h * s, obj.samples)
+    if isinstance(obj, Weight):
+        if obj.kind != "power":
+            return obj
+        return Weight.power(obj.exponent, tuple(c * s for c in obj.center),
+                            obj.multiplier)
     return tuple((lo * s, hi * s) for lo, hi in obj)
 
 
@@ -175,9 +157,9 @@ def _indicator_sum(cubes, lambdas, box, h: float, *, star: bool = False,
     return zero.with_samples(acc)
 
 
-def _require(cond: bool, message: str, details: dict | None = None):
+def _require(cond: bool, message: str):
     if not cond:
-        raise HypothesisError(message, details)
+        raise HypothesisError(message)
 
 
 def _single_weight(cfg: ExperimentConfig) -> Weight:
@@ -196,16 +178,8 @@ def _lebesgue_pair(cfg: ExperimentConfig):
     """Resolve (p, q) with 1/q = 1/p - gamma/n, checking any explicit q."""
     _require(cfg.gamma is not None and cfg.gamma > 0, "gamma must be positive")
     _require(cfg.p is not None, "this run needs the scalar exponent p")
-    p, n, gamma = cfg.p, cfg.n, cfg.gamma
-    _require(0.0 < p < n / gamma, "need 0 < p < n/gamma")
-    inv_q = 1.0 / p - gamma / n
-    q = 1.0 / inv_q
-    if cfg.q is not None:
-        _require(abs(1.0 / cfg.q - inv_q) <= 1e-12,
-                 "q must satisfy 1/q = 1/p - gamma/n",
-                 {"expected_q": q, "got_q": cfg.q})
-        q = cfg.q
-    return p, q
+    q = 1.0 / _inv_target(cfg, (cfg.p,), cfg.gamma, cfg.n)
+    return cfg.p, q if cfg.q is None else cfg.q
 
 
 def _dilation_drift(rows) -> float:
@@ -223,10 +197,17 @@ def _dilation_drift(rows) -> float:
 
 
 def _ratio_report(name: str, cfg: ExperimentConfig, one_trial, metadata) -> RatioReport:
-    """Map one_trial over the corpus, flatten its rows in trial order and
-    score them.  ``metadata()`` runs once every trial is done, so it can read
-    the side-records the trials fill in."""
-    rows = [r for rs in _map_trials(one_trial, cfg.corpus.count) for r in rs]
+    """Run one_trial over the corpus in trial order, refuse any row with a
+    non-finite side, and score the rows.  ``metadata()`` runs once every
+    trial is done, so it can read the side-records the trials fill in."""
+    rows = []
+    for t in range(cfg.corpus.count):
+        for r in one_trial(t):
+            if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
+                raise HypothesisError(
+                    f"overflow: a side is not finite at trial {r.trial}, "
+                    f"scale k={r.scale_k} (lhs={r.lhs!r}, rhs={r.rhs!r})")
+            rows.append(r)
     meta = dict(metadata(), dilation_drift=_dilation_drift(rows))
     return RatioReport.from_rows(name, rows, cfg.slope_tol, meta)
 
@@ -246,8 +227,7 @@ def _slots(cfg: ExperimentConfig, *, bounded: int | None = None,
         _require(1 <= l < m, "need 1 <= bounded_slots < m")
     cap = (m - l) * n
     _require(cfg.gamma is not None and 0 < cfg.gamma < cap,
-             "need 0 < gamma < (m - l) * n, l the number of bounded slots",
-             {"gamma": cfg.gamma, "cap": cap})
+             "need 0 < gamma < (m - l) * n, l the number of bounded slots")
     _require(len(cfg.exponents) == m - l, "need one exponent per atomic slot")
     if constant:
         _require(all(e.kind == "constant" for e in cfg.exponents),
@@ -276,8 +256,7 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
     w = _single_weight(cfg)
     family = _weight_family(cfg.box, cfg.h)
     rh = rh_constant(w, q / p, family)
-    _require(rh.stable, "weight fails reverse-Hoelder stability at order q/p",
-             {"rh": rh.to_json_dict()})
+    _require(rh.stable, "weight fails reverse-Hoelder stability at order q/p")
 
     margin = min(hi - lo for lo, hi in cfg.box) / 4.0
     side_max = 2.0 ** cfg.corpus.side_exponents[1]
@@ -296,8 +275,9 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
             f_lhs = _indicator_sum(cubes_k, lambdas, box_k, h_k,
                                    star=True, side_power=gamma)
             f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
-            w_qp = None if unit else w.pow(q / p).sample(box_k, h_k)
-            w_p = None if unit else w.sample(box_k, h_k)
+            w_k = _dilated(w, k)
+            w_qp = None if unit else w_k.pow(q / p).sample(box_k, h_k)
+            w_p = None if unit else w_k.sample(box_k, h_k)
             lhs = weighted_lp_quasinorm(f_lhs, q, w_qp)
             rhs = weighted_lp_quasinorm(f_rhs, p, w_p)
             rows.append(TrialRow.make(t, k, lhs, rhs))
@@ -331,14 +311,12 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
     _require(r >= 1.0, "the Muckenhoupt order must be at least 1")
     threshold = max(n * r / p, float(n))
     _require(eps > threshold + 1e-12,
-             "epsilon must exceed max(n*r/p, n)",
-             {"epsilon": eps, "threshold": threshold})
+             "epsilon must exceed max(n*r/p, n)")
 
     w = _single_weight(cfg)
     family = _weight_family(cfg.box, cfg.h)
     ap = ap_constant(w, max(r, 1.0 + 1e-6), family)
-    _require(ap.stable, "weight fails Muckenhoupt stability at order r",
-             {"ap": ap.to_json_dict()})
+    _require(ap.stable, "weight fails Muckenhoupt stability at order r")
 
     desc = w.descriptor()
     _require(desc["kind"] in ("constant", "power"),
@@ -351,8 +329,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
                  "the tail bound assumes the weight is centered at the origin")
         b_eff = desc["exponent"] * q / p
     a = (eps - gamma) * q
-    _require(a - b_eff > n, "the weighted tail integral must converge",
-             {"decay": a, "weight_gain": b_eff})
+    _require(a - b_eff > n, "the weighted tail integral must converge")
     lo_box, hi_box = cfg.box[0]
     if b_eff > 0.0:
         _require(lo_box < 0.0 < hi_box,
@@ -548,16 +525,14 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
     w = _single_weight(cfg)
     family = _weight_family(cfg.box, cfg.h)
     ap = ap_constant(w, p, family)
-    _require(ap.stable, "weight fails Muckenhoupt stability at order p",
-             {"ap": ap.to_json_dict()})
+    _require(ap.stable, "weight fails Muckenhoupt stability at order p")
 
     offdiag = cfg.gamma is not None
     if offdiag:
         gamma = cfg.gamma
         _, q = _lebesgue_pair(cfg)
         apq = apq_constant(w, p, q, family)
-        _require(apq.stable, "weight fails off-diagonal stability",
-                 {"apq": apq.to_json_dict()})
+        _require(apq.stable, "weight fails off-diagonal stability")
 
     unit = _is_unit(w)
     count = cfg.corpus.count
@@ -572,7 +547,8 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
             zero = GridFunction.zeros(box_k, h_k)
             lhs_stack = sum(hl_maximal(f).samples ** r for f in fs)
             rhs_stack = sum(np.abs(f.samples) ** r for f in fs)
-            wg = None if unit else w.sample(box_k, h_k)
+            w_k = _dilated(w, k)
+            wg = None if unit else w_k.sample(box_k, h_k)
             lhs = weighted_lp_quasinorm(
                 zero.with_samples(lhs_stack ** (1.0 / r)), p, wg)
             rhs = weighted_lp_quasinorm(
@@ -580,8 +556,8 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
             rows.append(TrialRow.make(t, k, lhs, rhs))
             if offdiag:
                 f0 = fs[0]
-                w_qg = None if unit else w.pow(q).sample(box_k, h_k)
-                w_pg = None if unit else w.pow(p).sample(box_k, h_k)
+                w_qg = None if unit else w_k.pow(q).sample(box_k, h_k)
+                w_pg = None if unit else w_k.pow(p).sample(box_k, h_k)
                 lhs2 = weighted_lp_quasinorm(frac_maximal(f0, gamma), q, w_qg)
                 rhs2 = weighted_lp_quasinorm(f0, p, w_pg)
                 rows.append(TrialRow.make(count + t, k, lhs2, rhs2))
@@ -631,8 +607,7 @@ def _hardy_exponent_setup(cfg: ExperimentConfig):
     for i, (wi, pi, qi) in enumerate(zip(weights, ps, qs)):
         rep = rh_constant(wi, qi / pi, family)
         _require(rep.stable,
-                 f"weight {i} fails reverse-Hoelder stability at order q_i/p_i",
-                 {"rh": rep.to_json_dict()})
+                 f"weight {i} fails reverse-Hoelder stability at order q_i/p_i")
         rh_reports.append(rep)
 
     if cfg.moment_order is not None:
@@ -731,11 +706,12 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         for k, box_k, h_k in _sweep(cfg):
             fs = [_dilated(f.realized, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
-            wbar = _wbar_sample(weights, ps, q, box_k, h_k)
+            ws = [_dilated(wi, k) for wi in weights]
+            wbar = _wbar_sample(ws, ps, q, box_k, h_k)
             lhs = weighted_lp_quasinorm(T, q, wbar)
             mol = _mollifier_for(box_k, h_k)
             rhs = 1.0
-            for f, pi, wi in zip(fs, ps, weights):
+            for f, pi, wi in zip(fs, ps, ws):
                 rhs *= hardy_quasinorm(f, pi, None if _is_unit(wi) else wi, mol)
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
@@ -814,16 +790,14 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     _require(not cfg.weights, "this run takes no weights")
     exponents = cfg.exponents
     room = sum(1.0 / p.p_plus for p in exponents) - gamma / n
-    _require(room > 0, "sum of 1/[p_i(.)]_+ must exceed gamma/n",
-             {"room": room})
+    _require(room > 0, "sum of 1/[p_i(.)]_+ must exceed gamma/n")
     lh_reports = []
     for i, pex in enumerate(exponents):
         if pex.kind == "constant":
             lh_reports.append(None)
             continue
         rep = log_holder_estimate(pex, window=cfg.box)
-        _require(rep.stable, f"exponent {i} fails log-Hoelder stability",
-                 {"log_holder": rep.to_json_dict()})
+        _require(rep.stable, f"exponent {i} fails log-Hoelder stability")
         lh_reports.append(rep)
     target = _reciprocal_target(
         exponents, gamma / n,

@@ -109,6 +109,20 @@ class TestVerify:
         assert cli_main(["verify", "star-sum", "--config", str(path)]) == 2
         assert "3:1" in capsys.readouterr().err
 
+    def test_overflowed_side_exits_two(self, tmp_path, capsys):
+        # coefficients near the float limit overflow |f|^p to inf: that is
+        # bad input, not a failed gate, and no report is written
+        corpus = dict(STAR["corpus"], lambda_range=[1e300, 1e300])
+        cfg = write_config(tmp_path, dict(STAR, corpus=corpus))
+        out = tmp_path / "out"
+        code = cli_main(["verify", "star-sum", "--config", cfg,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip().splitlines()[-1].startswith("error: overflow")
+        assert not (out / "star-sum.report.json").exists()
+        assert not (out / "star-sum.trials.csv").exists()
+
     def test_hypothesis_rejection_exits_two(self, tmp_path, capsys):
         payload = dict(STAR, experiment="tail-sum", epsilon=1.2, r=1.5)
         cfg = write_config(tmp_path, payload)

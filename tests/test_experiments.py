@@ -62,6 +62,16 @@ class TestStarSum:
         with pytest.raises(HypothesisError, match="reverse-Hoelder"):
             run_experiment(cfg)
 
+    def test_off_origin_weight_dilates_with_grid(self):
+        # the weight's centre moves with the grid, so |x - c|^b stays
+        # homogeneous and the ratio is exactly scale-covariant
+        cfg = make(experiment="star-sum", gamma=0.5, p=1.5,
+                   weights=[{"kind": "power", "exponent": 0.5, "center": [3.0]}],
+                   corpus={"seed": 3, "count": 8}, sweep=small_sweep())
+        rep = run_experiment(cfg)
+        assert abs(rep.slope) <= 1e-12
+        assert rep.metadata["dilation_drift"] <= 1e-12
+
     def test_halving_h_stable(self):
         base = make(experiment="star-sum", gamma=0.5, p=1.0,
                     corpus={"seed": 3, "count": 6}, sweep={"ks": [0]})
@@ -392,18 +402,14 @@ class TestHarness:
                    corpus={"seed": 3, "count": 5}, sweep=small_sweep())
         assert run_experiment(cfg).rows == run_experiment(cfg).rows
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
+    def test_thread_variable_is_ignored(self, monkeypatch):
+        # trials run serially in trial order: FRACHARM_THREADS is not read,
+        # so any value leaves the rows unchanged and is not refused
         cfg = fh_config()
-        monkeypatch.setenv("FRACHARM_THREADS", "1")
+        monkeypatch.delenv("FRACHARM_THREADS", raising=False)
         serial = run_experiment(cfg).rows
-        monkeypatch.setenv("FRACHARM_THREADS", "4")
-        threaded = run_experiment(cfg).rows
-        assert serial == threaded
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("FRACHARM_THREADS", "many")
-        with pytest.raises(HypothesisError, match="FRACHARM_THREADS"):
-            run_experiment(fh_config())
+        assert run_experiment(cfg).rows == serial
 
     def test_seed_changes_rows(self):
         cfg = make(experiment="star-sum", gamma=0.5, p=1.0,
