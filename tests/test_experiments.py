@@ -402,9 +402,9 @@ class TestHarness:
                    corpus={"seed": 3, "count": 5}, sweep=small_sweep())
         assert run_experiment(cfg).rows == run_experiment(cfg).rows
 
-    def test_thread_variable_is_ignored(self, monkeypatch):
+    def test_thread_count_does_not_change_rows(self, monkeypatch):
         # trials run serially in trial order: FRACHARM_THREADS is not read,
-        # so any value leaves the rows unchanged and is not refused
+        # so any value, even a malformed one, leaves the rows unchanged
         cfg = fh_config()
         monkeypatch.delenv("FRACHARM_THREADS", raising=False)
         serial = run_experiment(cfg).rows
