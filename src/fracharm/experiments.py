@@ -75,7 +75,8 @@ __all__ = [
 
 
 class HypothesisError(RuntimeError):
-    """A run's stated hypotheses fail; raised before heavy computation."""
+    """A run's stated hypotheses fail, or a measured side is not finite; no
+    report is produced."""
 
 
 # -- shared machinery ------------------------------------------------------------

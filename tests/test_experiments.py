@@ -62,22 +62,36 @@ class TestStarSum:
         with pytest.raises(HypothesisError, match="reverse-Hoelder"):
             run_experiment(cfg)
 
-    def test_off_origin_weight_dilates_with_grid(self):
-        # the weight's centre moves with the grid, so |x - c|^b stays
-        # homogeneous and the ratio is exactly scale-covariant
-        cfg = make(experiment="star-sum", gamma=0.5, p=1.5,
-                   weights=[{"kind": "power", "exponent": 0.5, "center": [3.0]}],
-                   corpus={"seed": 3, "count": 8}, sweep=small_sweep())
-        rep = run_experiment(cfg)
-        assert abs(rep.slope) <= 1e-12
-        assert rep.metadata["dilation_drift"] <= 1e-12
-
     def test_halving_h_stable(self):
         base = make(experiment="star-sum", gamma=0.5, p=1.0,
                     corpus={"seed": 3, "count": 6}, sweep={"ks": [0]})
         fine = dataclasses.replace(base, h=base.h / 2.0)
         r0, r1 = run_experiment(base), run_experiment(fine)
         assert abs(r1.max_ratio / r0.max_ratio - 1.0) <= 0.10
+
+
+# Off-origin power weights: the centre moves with the grid, so |x - c|^b
+# stays homogeneous and every run that samples it is exactly scale-covariant.
+OFF_ORIGIN = {"kind": "power", "exponent": 0.3, "center": [0.7]}
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(experiment="star-sum", gamma=0.5, p=1.5,
+         weights=[dict(OFF_ORIGIN, exponent=0.5, center=[3.0])],
+         corpus={"seed": 3, "count": 8}, sweep=small_sweep()),
+    dict(experiment="fefferman-stein", p=2.0, vector_r=2.0, vector_count=2,
+         weights=[OFF_ORIGIN], corpus={"seed": 3, "count": 3},
+         sweep=small_sweep()),
+    dict(experiment="frac-hardy", m=2, gamma=0.5, exponents=[1.0, 1.0],
+         weights=[OFF_ORIGIN, OFF_ORIGIN],
+         grid={"box": [[-2, 2]], "h": 0.03125},
+         corpus={"seed": 11, "count": 3, "side_exponents": [-3, -1]},
+         sweep=small_sweep()),
+], ids=lambda d: d["experiment"])
+def test_off_origin_weight_dilates_with_grid(cfg):
+    rep = run_experiment(make(cfg))
+    assert abs(rep.slope) <= 1e-12
+    assert rep.metadata["dilation_drift"] <= 1e-12
 
 
 class TestTailSum:
