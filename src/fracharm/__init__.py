@@ -14,7 +14,7 @@ from .atoms import Atom, AtomicSum, hardy_quasinorm, random_atomic_family
 from .config import ConfigError, CorpusSpec, ExperimentConfig
 from .experiments import EXPERIMENTS, HypothesisError, run_experiment
 from .grid import Cube, DyadicFamily, GridFunction, dyadic_cubes, integrate, weighted_lp_quasinorm
-from .kernels import KenigSteinKernel, KernelSpec, apply_frac_operator
+from .kernels import KenigSteinKernel, apply_frac_operator
 from .maximal import MaximalConfig, Mollifier, frac_maximal, grand_maximal, hl_maximal
 from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
 from .varexp import ExponentFunction, derive_system, luxemburg_norm, modular
@@ -36,7 +36,6 @@ __all__ = [
     "GridFunction",
     "HypothesisError",
     "KenigSteinKernel",
-    "KernelSpec",
     "MaximalConfig",
     "Mollifier",
     "RatioReport",

@@ -16,10 +16,8 @@ inputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "random_atomic_family",
     "random_coefficient",
     "random_cube",
-    "load_atomic_sum",
 ]
 
 MOMENT_TOL = 1e-10
@@ -85,9 +82,6 @@ class Atom:
             bound = MOMENT_TOL * side ** (self.values.dim + sum(alpha))
             if abs(moment(self.values, alpha)) > bound:
                 raise ValueError(f"moment {alpha} exceeds the vanishing tolerance")
-
-    def descriptor(self) -> dict:
-        return {"cube": self.cube.descriptor(), "N": self.order}
 
 
 def _orthonormal_columns(centers: np.ndarray, cube_lo: float, side: float,
@@ -182,41 +176,6 @@ class AtomicSum:
         if np.any(np.abs(f) > env):
             raise ValueError("realized sum escapes its envelope")
         return cls(lambdas, atoms, g0.with_samples(f), g0.with_samples(env), seed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "atoms": [
-                dict(a.descriptor(), values_ref=f"atom-{k:03d}.csv")
-                for k, a in enumerate(self.atoms)
-            ],
-            "lambdas": list(self.lambdas),
-            "seed": self.seed,
-        }
-
-    def save(self, directory) -> Path:
-        """Write sum.json plus one CSV per atom; returns the JSON path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for k, a in enumerate(self.atoms):
-            a.values.to_csv(directory / f"atom-{k:03d}.csv")
-        path = directory / "sum.json"
-        payload = dict(self.to_json_dict(), box=[list(b) for b in self.realized.box],
-                       h=self.realized.h)
-        path.write_text(json.dumps(payload, indent=2))
-        return path
-
-
-def load_atomic_sum(directory) -> AtomicSum:
-    directory = Path(directory)
-    payload = json.loads((directory / "sum.json").read_text())
-    atoms = []
-    for entry in payload["atoms"]:
-        values = GridFunction.read_csv(directory / entry["values_ref"])
-        cube = Cube(tuple(entry["cube"]["center"]), entry["cube"]["side"])
-        atoms.append(Atom(cube=cube, order=entry["N"], values=values))
-    box = tuple(tuple(b) for b in payload["box"])
-    return AtomicSum.build(payload["lambdas"], atoms, box=box, h=payload["h"],
-                           seed=payload["seed"])
 
 
 def hardy_quasinorm(f: GridFunction, p: float, w: Weight | None,

@@ -22,18 +22,19 @@ Top-level keys:
                       {"kind": "log-decay", "limit": l, "amplitude": a,
                        "center": [..]})
   target_exponents   per-slot target Lebesgue exponents q_i (numbers)
-  hardy_exponents    per-slot scalar Hardy exponents for the extrapolation run
-  weights            per-slot weight descriptors
+  weights            list of per-slot weight descriptors
                      ({"kind": "constant", "value": v} |
                       {"kind": "power", "exponent": b, "center": [..],
                        "multiplier": c})
   corpus             {seed, count, atoms_per_trial, side_exponents,
-                      lambda_range, order}
+                      lambda_range}
   grid               {box: [[lo, hi], ...], h}
   sweep              {k_min, k_max} or {ks: [..]}
   tolerances         {slope_tol}
-  truncation         {radius, value}
-  moment_order       override for the vanishing-moment order
+
+The vanishing-moment order, the var-frac-hardy truncation and the scalar
+Hardy exponents of the extrapolation chain are derived by the runs from the
+fields above; none of them is a field.
 """
 
 from __future__ import annotations
@@ -117,12 +118,11 @@ class CorpusSpec:
     atoms_per_trial: tuple = (1, 4)
     side_exponents: tuple = (-2, 1)
     lambda_range: tuple = (0.5, 2.0)
-    order: int | None = None
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "corpus") -> "CorpusSpec":
         _as_object(d, path, {"seed", "count", "atoms_per_trial", "side_exponents",
-                             "lambda_range", "order"})
+                             "lambda_range"})
         seed = _as_int(d.get("seed", 0), f"{path}.seed", minimum=0)
         count = _as_int(d.get("count", 0), f"{path}.count", minimum=0)
         apt = d.get("atoms_per_trial", (1, 4))
@@ -139,10 +139,7 @@ class CorpusSpec:
         l1 = _as_number(lr[1], f"{path}.lambda_range", positive=True)
         if l0 > l1:
             raise ConfigError("coefficient range is empty", f"{path}.lambda_range")
-        order = d.get("order")
-        if order is not None:
-            order = _as_int(order, f"{path}.order", minimum=0)
-        return cls(seed, count, (lo, hi), (j0, j1), (l0, l1), order)
+        return cls(seed, count, (lo, hi), (j0, j1), (l0, l1))
 
     def descriptor(self) -> dict:
         return {
@@ -151,7 +148,6 @@ class CorpusSpec:
             "atoms_per_trial": list(self.atoms_per_trial),
             "side_exponents": list(self.side_exponents),
             "lambda_range": list(self.lambda_range),
-            "order": self.order,
         }
 
 
@@ -203,8 +199,7 @@ def _weight_from(entry, n: int, path: str) -> Weight:
 _TOP_KEYS = {
     "experiment", "m", "n", "gamma", "p", "q", "r", "epsilon", "s",
     "vector_r", "vector_count", "bounded_slots", "exponents",
-    "target_exponents", "hardy_exponents", "weights", "corpus", "grid",
-    "sweep", "tolerances", "truncation", "moment_order",
+    "target_exponents", "weights", "corpus", "grid", "sweep", "tolerances",
 }
 
 
@@ -226,16 +221,12 @@ class ExperimentConfig:
     bounded_slots: int = 0
     exponents: tuple = ()
     target_exponents: tuple | None = None
-    hardy_exponents: tuple | None = None
     weights: tuple = ()
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     box: tuple = ()
     h: float = 0.0
     sweep: tuple = (-3, -2, -1, 0, 1, 2, 3)
     slope_tol: float = 0.1
-    truncation_radius: float | None = None
-    truncation_value: float | None = None
-    moment_order: int | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -276,11 +267,8 @@ class ExperimentConfig:
         )
 
         tq = _number_list(d, "target_exponents")
-        hs = _number_list(d, "hardy_exponents")
 
         wts = d.get("weights", [])
-        if isinstance(wts, dict):
-            wts = [wts]
         if not isinstance(wts, list):
             raise ConfigError("expected a list of weight descriptors", "weights")
         weights = tuple(
@@ -330,28 +318,14 @@ class ExperimentConfig:
         slope_tol = _as_number(tols.get("slope_tol", 0.1), "tolerances.slope_tol",
                                positive=True)
 
-        trunc = _as_object(d.get("truncation", {}), "truncation", {"radius", "value"})
-        t_rad = trunc.get("radius")
-        if t_rad is not None:
-            t_rad = _as_number(t_rad, "truncation.radius", positive=True)
-        t_val = trunc.get("value")
-        if t_val is not None:
-            t_val = _as_number(t_val, "truncation.value", positive=True)
-
-        moment_order = d.get("moment_order")
-        if moment_order is not None:
-            moment_order = _as_int(moment_order, "moment_order", minimum=1)
-
         return cls(
             experiment=experiment, n=n, m=m, gamma=gamma,
             p=scalars["p"], q=scalars["q"], r_order=scalars["r"],
             epsilon=scalars["epsilon"], s=scalars["s"],
             vector_r=scalars["vector_r"], vector_count=vector_count,
             bounded_slots=bounded_slots, exponents=exponents,
-            target_exponents=tq, hardy_exponents=hs, weights=weights,
-            corpus=corpus, box=box, h=h, sweep=ks, slope_tol=slope_tol,
-            truncation_radius=t_rad, truncation_value=t_val,
-            moment_order=moment_order,
+            target_exponents=tq, weights=weights, corpus=corpus, box=box, h=h,
+            sweep=ks, slope_tol=slope_tol,
         )
 
     @classmethod
@@ -369,7 +343,8 @@ class ExperimentConfig:
         return cls.from_dict(payload)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, corpus=replace(self.corpus, seed=int(seed)))
+        seed = _as_int(seed, "corpus.seed", minimum=0)
+        return replace(self, corpus=replace(self.corpus, seed=seed))
 
     def descriptor(self) -> dict:
         """Echo of the resolved parameters, for report metadata."""
@@ -388,13 +363,9 @@ class ExperimentConfig:
             "bounded_slots": self.bounded_slots,
             "exponents": [e.descriptor() for e in self.exponents],
             "target_exponents": list(self.target_exponents) if self.target_exponents else None,
-            "hardy_exponents": list(self.hardy_exponents) if self.hardy_exponents else None,
             "weights": [w.descriptor() for w in self.weights],
             "corpus": self.corpus.descriptor(),
             "grid": {"box": [list(b) for b in self.box], "h": self.h},
             "sweep": list(self.sweep),
             "slope_tol": self.slope_tol,
-            "truncation": {"radius": self.truncation_radius,
-                           "value": self.truncation_value},
-            "moment_order": self.moment_order,
         }

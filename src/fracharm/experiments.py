@@ -611,16 +611,12 @@ def _hardy_exponent_setup(cfg: ExperimentConfig):
                  f"weight {i} fails reverse-Hoelder stability at order q_i/p_i")
         rh_reports.append(rep)
 
-    if cfg.moment_order is not None:
-        N = cfg.moment_order
-        rws = []
-    else:
-        p_grid = (1.0625, 1.125, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-        rws = [rw_estimate(wi, family, p_grid) for wi in weights]
-        _require(all(math.isfinite(v) for v in rws),
-                 "a weight has no stable Muckenhoupt constant on the probe grid")
-        need = max(m * n * (rv / pi - 1.0) for rv, pi in zip(rws, ps))
-        N = max(1, int(math.floor(need)) + 1 if need >= 0 else 1)
+    p_grid = (1.0625, 1.125, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+    rws = [rw_estimate(wi, family, p_grid) for wi in weights]
+    _require(all(math.isfinite(v) for v in rws),
+             "a weight has no stable Muckenhoupt constant on the probe grid")
+    need = max(m * n * (rv / pi - 1.0) for rv, pi in zip(rws, ps))
+    N = max(1, int(math.floor(need)) + 1 if need >= 0 else 1)
 
     gsplit = [n * (1.0 / pi - 1.0 / qi) for pi, qi in zip(ps, qs)]
     gsplit[-1] = gamma - sum(gsplit[:-1])  # kill rounding in the sum
@@ -644,8 +640,7 @@ def _atomic_slots(cfg: ExperimentConfig, t: int, m: int, N: int):
         fams.append(random_atomic_family(
             _subseed(cfg.corpus.seed, 5, t, i), cnt, box=cfg.box, h=cfg.h,
             side_exponents=cfg.corpus.side_exponents,
-            lambda_range=cfg.corpus.lambda_range,
-            order=cfg.corpus.order if cfg.corpus.order is not None else N))
+            lambda_range=cfg.corpus.lambda_range, order=N))
     return fams
 
 
@@ -739,7 +734,7 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
     _require(not cfg.weights, "this run takes no weights")
     ps = tuple(e.p_minus for e in cfg.exponents)
     q = 1.0 / _inv_target(cfg, ps, gamma, n)
-    N = cfg.moment_order or 1
+    N = 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
 
     def bounded_fn(t: int, j: int) -> GridFunction:
@@ -805,10 +800,10 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / n), 1.0 / room,
         "target")
 
-    N = cfg.moment_order or 1
+    N = 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
     corner = max(max(abs(lo), abs(hi)) for lo, hi in cfg.box)
-    r_rad = cfg.truncation_radius or corner * math.sqrt(n) * 2.0
+    r_rad = corner * math.sqrt(n) * 2.0
     monotone_flags = []
 
     def truncate(T: GridFunction, vcap: float, rcap: float) -> GridFunction:
@@ -822,9 +817,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         for k, box_k, h_k in _sweep(cfg):
             fs = [_dilated(f.realized, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
-            scale = 2.0 ** (k * gamma)
-            vcap = (cfg.truncation_value * scale if cfg.truncation_value
-                    else T.sup_norm() * (1.0 + 1e-12))
+            vcap = T.sup_norm() * (1.0 + 1e-12)
             rcap = r_rad * 2.0 ** k
             lhs = luxemburg_norm(truncate(T, vcap, rcap), target)
             mol = _mollifier_for(box_k, h_k)
@@ -846,8 +839,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         "exponents": [e.descriptor() for e in cfg.exponents],
         "target_band": [target.p_minus, target.p_plus],
         "log_holder": [r.to_json_dict() if r else None for r in lh_reports],
-        "truncation": {"radius": r_rad,
-                       "value": cfg.truncation_value or "sup"},
+        "truncation": {"radius": r_rad, "value": "sup"},
         "truncation_monotone": bool(monotone_flags) and all(monotone_flags),
     })
 
@@ -860,8 +852,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     and record every link of the chain as a measured constant."""
     m, n, gamma = _slots(cfg, constant=False)
     _require(not cfg.weights, "this run takes no weights")
-    scalars = cfg.hardy_exponents or tuple(0.75 * p.p_minus for p in cfg.exponents)
-    _require(len(scalars) == m, "need one scalar Hardy exponent per slot")
+    scalars = tuple(0.75 * p.p_minus for p in cfg.exponents)
     system = derive_system(cfg.exponents, scalars, gamma,
                            window=cfg.box, seed=cfg.corpus.seed)
 

@@ -17,13 +17,10 @@ Conventions shared by the whole package:
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -269,48 +266,6 @@ class GridFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.samples)))
-
-    # -- serialization -------------------------------------------------------
-
-    def sidecar_path(self, path) -> Path:
-        return Path(path).with_suffix(".meta.json")
-
-    def to_csv(self, path) -> None:
-        """Write ``x[,y],value`` rows plus a sidecar JSON grid descriptor.
-
-        Floats are written with repr, so a read-back reproduces every sample
-        bit for bit.
-        """
-        path = Path(path)
-        pts = self.coords().reshape(-1, self.dim)
-        vals = self.samples.reshape(-1)
-        header = ["x", "y"][: self.dim] + ["value"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for p, v in zip(pts, vals):
-                writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-        meta = {"box": [list(iv) for iv in self.box], "h": self.h, "dim": self.dim}
-        with open(self.sidecar_path(path), "w") as fh:
-            json.dump(meta, fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def read_csv(cls, path, sidecar=None) -> "GridFunction":
-        path = Path(path)
-        sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".meta.json")
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        box = _as_box(meta["box"])
-        h = float(meta["h"])
-        shape = _axis_counts(box, h)
-        vals = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                vals.append(float(row[-1]))
-        return cls(box, h, np.asarray(vals).reshape(shape))
 
 
 # -- quadrature and norms ----------------------------------------------------

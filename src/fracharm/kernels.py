@@ -1,12 +1,11 @@
 """Fractional integral kernels, their defining conditions, and desk quadrature.
 
-Every kernel here has the shape K(x, y_1..y_m) = profile(t) with
-t = sum_i |x - y_i|, which covers the model kernel t^(gamma - mn).  The
-operator applies K against m grid functions by midpoint quadrature over
-input cell-center tuples.  Exactly singular tuples (every y_i in the cell
-of x) are re-integrated once on a 3^(mn)-fold subdivision of the cell tuple
-with the still-singular center dropped; the dropped mass is O(h^gamma)
-because the singularity is integrable.
+The model kernel K(x, y_1..y_m) = t^(gamma - mn) is a profile of
+t = sum_i |x - y_i| alone.  The operator applies K against m grid functions
+by midpoint quadrature over input cell-center tuples.  Exactly singular
+tuples (every y_i in the cell of x) are re-integrated once on a 3^(mn)-fold
+subdivision of the cell tuple with the still-singular center dropped; the
+dropped mass is O(h^gamma) because the singularity is integrable.
 
 Derivative-based checks (smoothness condition, Taylor remainder) use central
 finite differences with step equal to 1/16 of the distance to the diagonal,
@@ -24,7 +23,6 @@ import numpy as np
 from .grid import Cube, GridFunction, multi_indices
 
 __all__ = [
-    "KernelSpec",
     "KenigSteinKernel",
     "TaylorData",
     "apply_frac_operator",
@@ -57,12 +55,13 @@ def _fast_power(t: np.ndarray, e: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """m-linear kernel in dimension n with fractional order gamma in (0, mn).
+class KenigSteinKernel:
+    """The model kernel (sum of slot distances)^(gamma - mn): m-linear in
+    dimension n with fractional order gamma in (0, mn).
 
-    Subclasses provide ``profile`` (a function of the summed slot distances);
-    ``evaluate`` is derived from it.  ``order`` records the smoothness order
-    the harness intends to use.
+    ``evaluate`` is derived from ``profile``, a function of the summed slot
+    distances.  ``order`` records the smoothness order the harness intends
+    to use.
     """
 
     m: int
@@ -78,12 +77,8 @@ class KernelSpec:
         if self.order < 1:
             raise ValueError("smoothness order must be at least 1")
 
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
-
     def profile(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _fast_power(t, self.gamma - self.m * self.n)
 
     def evaluate(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """K at x (..., n) against slot points ys (..., m, n)."""
@@ -93,20 +88,8 @@ class KernelSpec:
         return self.profile(t)
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "n": self.n,
+        return {"kind": "kenig-stein", "m": self.m, "n": self.n,
                 "gamma": self.gamma, "N": self.order, "params": {}}
-
-
-@dataclass(frozen=True)
-class KenigSteinKernel(KernelSpec):
-    """The model kernel (sum of slot distances)^(gamma - mn)."""
-
-    @property
-    def kind(self) -> str:
-        return "kenig-stein"
-
-    def profile(self, t: np.ndarray) -> np.ndarray:
-        return _fast_power(t, self.gamma - self.m * self.n)
 
 
 # -- operator application -----------------------------------------------------
@@ -115,7 +98,7 @@ class KenigSteinKernel(KernelSpec):
 _EINSUM = {1: "ca,a->c", 2: "cab,a,b->c", 3: "cabd,a,b,d->c", 4: "cabde,a,b,d,e->c"}
 
 
-def _subdivision_profile_sum(kernel: KernelSpec, h: float) -> float:
+def _subdivision_profile_sum(kernel: KenigSteinKernel, h: float) -> float:
     """Sum of profile over the once-subdivided singular cell tuple, with the
     still-singular center dropped."""
     offsets = (-h / 3.0, 0.0, h / 3.0)
@@ -130,7 +113,7 @@ def _subdivision_profile_sum(kernel: KernelSpec, h: float) -> float:
     return total
 
 
-def apply_frac_operator(kernel: KernelSpec, fs, points=None):
+def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
     """Midpoint-quadrature application of the m-linear fractional operator.
 
     With ``points=None`` evaluates at every cell center and returns a
@@ -209,7 +192,7 @@ def apply_frac_operator(kernel: KernelSpec, fs, points=None):
 # -- kernel condition checks ---------------------------------------------------
 
 
-def _sample_configurations(kernel: KernelSpec, count: int, seed: int,
+def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
                            radius: float, min_t: float, per_slot: bool = False):
     """Uniform configurations with t = sum_i |x - y_i| above min_t; with
     per_slot=True every individual slot distance must clear min_t instead,
@@ -233,7 +216,7 @@ def _sample_configurations(kernel: KernelSpec, count: int, seed: int,
     return xs, ys, d.sum(axis=-1), d.min(axis=-1)
 
 
-def kernel_size_check(kernel: KernelSpec, sample_count: int = 400, *,
+def kernel_size_check(kernel: KenigSteinKernel, sample_count: int = 400, *,
                       seed: int = 0, radius: float = 2.0, min_t: float = 1e-3) -> float:
     """Max over random off-diagonal configurations of |K| * t^(mn - gamma)."""
     x, ys, t, _ = _sample_configurations(kernel, sample_count, seed, radius, min_t)
@@ -248,7 +231,7 @@ def _axis_stencil(order: int):
     return coeffs, nodes
 
 
-def _difference(kernel: KernelSpec, x, ys, slot: int, beta, step):
+def _difference(kernel: KenigSteinKernel, x, ys, slot: int, beta, step):
     """Central iterated difference of K in slot ``slot`` along the
     multi-index beta, vectorized over the sample axis; divide by
     step^|beta| for the derivative estimate."""
@@ -267,7 +250,7 @@ def _difference(kernel: KernelSpec, x, ys, slot: int, beta, step):
     return acc
 
 
-def _derivative_sum(kernel: KernelSpec, x, ys, order: int, step):
+def _derivative_sum(kernel: KenigSteinKernel, x, ys, order: int, step):
     """Sum over slots and |beta| = order of |FD estimate of the slot
     derivative|, vectorized over the sample axis."""
     total = np.zeros(x.shape[0])
@@ -279,7 +262,7 @@ def _derivative_sum(kernel: KernelSpec, x, ys, order: int, step):
     return total
 
 
-def kernel_smoothness_check(kernel: KernelSpec, order: int, sample_count: int = 200,
+def kernel_smoothness_check(kernel: KenigSteinKernel, order: int, sample_count: int = 200,
                             fd_step: float | None = None, *, seed: int = 0,
                             radius: float = 2.0, min_t: float = 1e-2) -> float:
     """Max over samples of (sum of slot derivatives of order N, estimated by
@@ -313,7 +296,7 @@ class TaylorData:
     cube center; coefficients are finite-difference values computed per
     evaluation configuration since they depend on x and the other slots."""
 
-    kernel: KernelSpec
+    kernel: KenigSteinKernel
     slot: int
     center: tuple
     order: int
@@ -349,7 +332,7 @@ class TaylorData:
         return val
 
 
-def taylor_polynomial(kernel: KernelSpec, slot: int, center, order: int) -> TaylorData:
+def taylor_polynomial(kernel: KenigSteinKernel, slot: int, center, order: int) -> TaylorData:
     if not 0 <= slot < kernel.m:
         raise ValueError("slot out of range")
     if order < 1:
@@ -360,7 +343,7 @@ def taylor_polynomial(kernel: KernelSpec, slot: int, center, order: int) -> Tayl
     return TaylorData(kernel=kernel, slot=slot, center=center, order=order)
 
 
-def taylor_remainder_check(kernel: KernelSpec, td: TaylorData, cube: Cube, *,
+def taylor_remainder_check(kernel: KenigSteinKernel, td: TaylorData, cube: Cube, *,
                            n_samples: int = 200, seed: int = 0,
                            x_span=(1.01, 4.0)) -> float:
     """Max over samples of |K - P| * t^(mn + N - gamma) / side^N with the
@@ -399,7 +382,7 @@ def taylor_remainder_check(kernel: KernelSpec, td: TaylorData, cube: Cube, *,
 # -- pointwise product bound ----------------------------------------------------
 
 
-def local_product_bound_check(kernel: KernelSpec, cubes, gamma_split, x, *,
+def local_product_bound_check(kernel: KenigSteinKernel, cubes, gamma_split, x, *,
                               box, h: float) -> float:
     """|T(indicators)(x)| / prod side_i^gamma_i for x in every star.
 

@@ -92,32 +92,6 @@ class ExponentFunction:
         return cls("log-decay", dim, lo, hi, fn,
                    {"limit": limit, "amplitude": amplitude, "center": list(c)})
 
-    @classmethod
-    def sampled(cls, g: GridFunction) -> "ExponentFunction":
-        """Piecewise-constant exponent from cell samples (nearest cell wins
-        off the grid)."""
-        v = g.samples
-        if not np.all(np.isfinite(v)) or np.min(v) <= 0:
-            raise ValueError("sampled exponent must be positive and finite")
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            idx = []
-            for axis in range(g.dim):
-                lo = g.box[axis][0]
-                k = np.floor((x[..., axis] - lo) / g.h).astype(int)
-                idx.append(np.clip(k, 0, v.shape[axis] - 1))
-            return v[tuple(idx)]
-
-        return cls("sampled", g.dim, float(np.min(v)), float(np.max(v)), fn,
-                   {"box": [list(b) for b in g.box], "h": g.h})
-
-    @classmethod
-    def from_callable(cls, fn: Callable, p_minus: float, p_plus: float,
-                      dim: int = 1, label: str = "custom") -> "ExponentFunction":
-        return cls("derived", dim, float(p_minus), float(p_plus), fn,
-                   {"label": label})
-
     def descriptor(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "params": dict(self.params)}
 

@@ -7,7 +7,6 @@ from fracharm.atoms import (
     Atom,
     AtomicSum,
     hardy_quasinorm,
-    load_atomic_sum,
     make_atom,
     moment,
     random_atomic_family,
@@ -147,15 +146,6 @@ class TestAtomicSum:
             AtomicSum.build([1.0, 2.0], [a])
         with pytest.raises(ValueError):
             AtomicSum.build([-1.0], [a])
-
-    def test_json_round_trip(self, tmp_path):
-        s = random_atomic_family(4, 3, box=((-4.0, 4.0),), h=2.0 ** -6,
-                                 side_exponents=(-1, 0))
-        s.save(tmp_path / "fam")
-        back = load_atomic_sum(tmp_path / "fam")
-        assert np.array_equal(back.realized.samples, s.realized.samples)
-        assert back.lambdas == s.lambdas
-        assert back.seed == 4
 
 
 class TestHardyQuasinorm:

@@ -315,10 +315,13 @@ class TestLibraryPreconditions:
           "--samples", "0"], "at least one sample"),
         (["verify", "star-sum", "--config", "{config}", "--out", "{csv}"],
          "File exists"),
+        (["verify", "star-sum", "--config", "{config}", "--seed", "-1"],
+         "config field 'corpus.seed': must be at least 0"),
     ], ids=["norm-zero-step", "norm-negative-p", "weight-nonintegrable",
             "weight-window-too-small", "weight-reversed-window",
             "weight-zero-step", "weight-window-overflows", "weight-step-overflows",
-            "weight-subnormal-step", "kernel-zero-samples", "verify-out-is-a-file"])
+            "weight-subnormal-step", "kernel-zero-samples", "verify-out-is-a-file",
+            "verify-negative-seed"])
     def test_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch,
                                      argv, message):
         def must_not_run(cfg):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestValidation:
     def test_unknown_nested_field_names_path(self):
         with pytest.raises(ConfigError, match="corpus.bogus"):
             make(corpus={"bogus": 2})
+
+    @pytest.mark.parametrize("path, value", [
+        ("moment_order", 1),
+        ("truncation", {"value": 1e-6}),
+        ("hardy_exponents", [4.0, 4.0]),
+        ("corpus.order", 0),
+    ], ids=["moment_order", "truncation", "hardy_exponents", "corpus.order"])
+    def test_derived_quantity_is_not_a_field(self, path, value):
+        # the runs derive these from the paper's hypotheses; a config that
+        # sets one is refused instead of silently overriding the derivation
+        head, _, tail = path.partition(".")
+        with pytest.raises(ConfigError, match=re.escape(f"'{path}': unknown field")):
+            make({head: {tail: value} if tail else value})
 
     def test_dimension_must_be_one_or_two(self):
         with pytest.raises(ConfigError, match="n"):

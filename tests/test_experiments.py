@@ -361,11 +361,6 @@ class TestExtrapolation:
         for entry in rep.metadata["rubio"]:
             assert entry["opnorm"] > 0 and entry["tail"] >= 0
 
-    def test_scalar_at_band_edge_rejected(self):
-        cfg = make(dict(EXTRAP_BASE, hardy_exponents=[4.0, 4.0]))
-        with pytest.raises(HypothesisError, match="strictly below"):
-            run_experiment(cfg)
-
     def test_ladder_runs_once_per_slot(self, monkeypatch):
         # opnorm probe (1), its estimate (2) and one series of depth + 1
         # powers (9): the chain reads the iterate and the tail from the

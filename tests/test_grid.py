@@ -117,23 +117,6 @@ class TestGridFunction:
         g = GridFunction.from_callable(BOX1, H, lambda x: x)
         assert integrate(g) == pytest.approx(0.0, abs=1e-14)
 
-    def test_csv_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        g = GridFunction(BOX1, 0.25, rng.standard_normal(16))
-        p = tmp_path / "g.csv"
-        g.to_csv(p)
-        back = GridFunction.read_csv(p)
-        assert back.box == g.box and back.h == g.h
-        assert np.array_equal(back.samples, g.samples)
-
-    def test_csv_round_trip_2d(self, tmp_path):
-        rng = np.random.default_rng(8)
-        g = GridFunction(BOX2, 0.5, rng.standard_normal((8, 8)))
-        p = tmp_path / "g2.csv"
-        g.to_csv(p)
-        back = GridFunction.read_csv(p)
-        assert np.array_equal(back.samples, g.samples)
-
 
 def _cells_mask(g, cube):
     mask = np.zeros(g.samples.shape, dtype=bool)

@@ -74,15 +74,6 @@ class TestExponentFunction:
         with pytest.raises(ValueError, match="p_minus"):
             ExponentFunction.constant(1.0).conjugate()
 
-    def test_sampled_lookup(self):
-        g = GridFunction.from_callable(((0.0, 4.0),), 0.5, lambda x: 2.0 + x)
-        p = ExponentFunction.sampled(g)
-        # cell centers reproduce the samples; far points clip to end cells
-        assert p.evaluate(np.array([[0.25]]))[0] == g.samples[0]
-        assert p.evaluate(np.array([[3.75]]))[0] == g.samples[-1]
-        assert p.evaluate(np.array([[99.0]]))[0] == g.samples[-1]
-        assert p.evaluate(np.array([[-99.0]]))[0] == g.samples[0]
-
     def test_dimension_checked(self):
         p = ExponentFunction.constant(2.0, dim=2)
         with pytest.raises(ValueError, match="dimension"):
@@ -104,8 +95,8 @@ class TestModular:
     def test_variable_exponent_closed_form(self):
         # int_0^1 2^(2+x) dx = 4 / ln 2
         h = 2.0 ** -8
-        p = ExponentFunction.from_callable(
-            lambda x: 2.0 + np.clip(x[..., 0], 0.0, 1.0), 2.0, 3.0)
+        p = ExponentFunction(
+            "derived", 1, 2.0, 3.0, lambda x: 2.0 + np.clip(x[..., 0], 0.0, 1.0))
         f = Cube((0.5,), 1.0).indicator(BOX, h) * 2.0
         assert modular(f, p) == pytest.approx(4.0 / math.log(2.0), rel=1e-5)
 
@@ -151,8 +142,8 @@ class TestLuxemburgNorm:
 
     def test_variable_indicator_has_unit_norm(self):
         # modular of chi_[0,1] is 1 for every exponent, so the norm is 1
-        p = ExponentFunction.from_callable(
-            lambda x: 2.0 + np.clip(x[..., 0], 0.0, 1.0), 2.0, 3.0)
+        p = ExponentFunction(
+            "derived", 1, 2.0, 3.0, lambda x: 2.0 + np.clip(x[..., 0], 0.0, 1.0))
         chi = Cube((0.5,), 1.0).indicator(BOX, 2.0 ** -8)
         assert luxemburg_norm(chi, p) == pytest.approx(1.0, rel=1e-6)
 
@@ -179,8 +170,8 @@ class TestLogHolderEstimate:
         assert rep.stable
 
     def test_step_exponent_flagged_unstable(self):
-        step = ExponentFunction.from_callable(
-            lambda x: 2.0 + (x[..., 0] > 0.0), 2.0, 3.0)
+        step = ExponentFunction(
+            "derived", 1, 2.0, 3.0, lambda x: 2.0 + (x[..., 0] > 0.0))
         seps = 2.0 ** -np.arange(2.0, 21.0)
         pts = np.stack([-seps / 2.0, seps / 2.0], axis=1)[:, :, None]
         rep = log_holder_estimate(step, pts)
