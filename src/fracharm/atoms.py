@@ -23,7 +23,6 @@ import numpy as np
 
 from .grid import Cube, GridFunction, multi_indices, weighted_lp_quasinorm
 from .maximal import Mollifier, grand_maximal
-from .weights import Weight
 
 __all__ = [
     "Atom",
@@ -150,11 +149,10 @@ class AtomicSum:
     atoms: tuple
     realized: GridFunction
     envelope: GridFunction
-    seed: int | None = None
 
     @classmethod
-    def build(cls, lambdas, atoms, *, box=None, h: float | None = None,
-              seed: int | None = None) -> "AtomicSum":
+    def build(cls, lambdas, atoms, *, box=None,
+              h: float | None = None) -> "AtomicSum":
         lambdas = tuple(float(lam) for lam in lambdas)
         atoms = tuple(atoms)
         if len(lambdas) != len(atoms):
@@ -165,7 +163,7 @@ class AtomicSum:
             if box is None or h is None:
                 raise ValueError("empty sum needs an explicit grid")
             zero = GridFunction.zeros(box, h)
-            return cls(lambdas, atoms, zero, zero, seed)
+            return cls(lambdas, atoms, zero, zero)
         g0 = atoms[0].values
         f = np.zeros_like(g0.samples)
         env = np.zeros_like(g0.samples)
@@ -175,15 +173,14 @@ class AtomicSum:
             env = env + lam * atom.cube.indicator(g0.box, g0.h).samples
         if np.any(np.abs(f) > env):
             raise ValueError("realized sum escapes its envelope")
-        return cls(lambdas, atoms, g0.with_samples(f), g0.with_samples(env), seed)
+        return cls(lambdas, atoms, g0.with_samples(f), g0.with_samples(env))
 
 
-def hardy_quasinorm(f: GridFunction, p: float, w: Weight | None,
+def hardy_quasinorm(f: GridFunction, p: float, w: GridFunction | None,
                     mol: Mollifier) -> float:
-    """Weighted L^p quasi-norm of the smooth maximal function of f."""
-    mf = grand_maximal(f, mol)
-    wg = None if w is None else w.sample(f.box, f.h)
-    return weighted_lp_quasinorm(mf, p, wg)
+    """Weighted L^p quasi-norm of the smooth maximal function of f; ``w`` is
+    the weight sampled on f's grid, None for w == 1."""
+    return weighted_lp_quasinorm(grand_maximal(f, mol), p, w)
 
 
 def random_cube(rng, box, h: float, side_exponents,
@@ -239,4 +236,4 @@ def random_atomic_family(seed: int, count: int, *, box, h: float,
         prof[cells] = rng.uniform(-1.0, 1.0, size=prof[cells].shape)
         atoms.append(make_atom(zero.with_samples(prof), cube, order))
         lambdas.append(random_coefficient(rng, lambda_range))
-    return AtomicSum.build(lambdas, atoms, box=box, h=h, seed=seed)
+    return AtomicSum.build(lambdas, atoms, box=box, h=h)

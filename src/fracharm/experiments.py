@@ -15,6 +15,9 @@ Hypothesis checks (exponent relations, weight-constant stability, decay
 thresholds) always run before any heavy computation and raise a
 HypothesisError; a config that violates them never produces a report.
 
+Weights are dilated and sampled once per sweep scale, before the trials
+(``_weight_grids``), and every trial at that scale reads the same grid.
+
 Trials run one after another in trial order, in one thread, so reports and
 CSV files are byte-deterministic for a given config and seed.  A trial whose
 side overflows to inf or nan is refused with a HypothesisError naming the
@@ -139,7 +142,10 @@ def _atom_count(cfg: ExperimentConfig, rng) -> int:
 
 def _indicator_corpus(cfg: ExperimentConfig, rng, count: int | None = None):
     """Cubes and coefficients under the atomic placement law; the count is
-    drawn from atoms_per_trial unless given."""
+    drawn from atoms_per_trial unless given.  Refused before any draw when
+    the smallest side owns no grid cell."""
+    _require(round(2.0 ** cfg.corpus.side_exponents[0] / cfg.h) >= 1,
+             "the smallest cube side owns no grid cell")
     if count is None:
         count = _atom_count(cfg, rng)
     cubes, lambdas = [], []
@@ -170,9 +176,21 @@ def _single_weight(cfg: ExperimentConfig) -> Weight:
     return cfg.weights[0]
 
 
-def _is_unit(w: Weight) -> bool:
-    d = w.descriptor()
-    return d.get("kind") == "constant" and d.get("value") == 1.0
+def _weight_grids(cfg: ExperimentConfig, *factors) -> dict:
+    """For each sweep scale k, the sampled product over ``factors`` (w, e)
+    of the dilated weight to the power e, multiplied in factor order from
+    1.0; None at every k when every w is the unit constant.  Runs once,
+    before the trials, which all read the same grids."""
+    if all(w.kind == "constant" and w.value == 1.0 for w, _ in factors):
+        return dict.fromkeys(cfg.sweep)
+    grids = {}
+    for k, box_k, h_k in _sweep(cfg):
+        acc = 1.0
+        for w, e in factors:
+            g = _dilated(w, k).pow(e).sample(box_k, h_k)
+            acc = acc * g.samples
+        grids[k] = g.with_samples(acc)
+    return grids
 
 
 def _lebesgue_pair(cfg: ExperimentConfig):
@@ -265,7 +283,8 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
     _require(side_max * (tau - 1.0) / 2.0 <= margin,
              "largest cube star escapes the box margin")
 
-    unit = _is_unit(w)
+    w_qp = _weight_grids(cfg, (w, q / p))
+    w_p = _weight_grids(cfg, (w, 1.0))
 
     def one_trial(t: int):
         cubes, lambdas = _indicator_corpus(
@@ -276,11 +295,8 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
             f_lhs = _indicator_sum(cubes_k, lambdas, box_k, h_k,
                                    star=True, side_power=gamma)
             f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
-            w_k = _dilated(w, k)
-            w_qp = None if unit else w_k.pow(q / p).sample(box_k, h_k)
-            w_p = None if unit else w_k.sample(box_k, h_k)
-            lhs = weighted_lp_quasinorm(f_lhs, q, w_qp)
-            rhs = weighted_lp_quasinorm(f_rhs, p, w_p)
+            lhs = weighted_lp_quasinorm(f_lhs, q, w_qp[k])
+            rhs = weighted_lp_quasinorm(f_rhs, p, w_p[k])
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
 
@@ -335,10 +351,11 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
     if b_eff > 0.0:
         _require(lo_box < 0.0 < hi_box,
                  "the weighted tail bound assumes the origin is inside the box")
-    mult = 1.0 if desc["kind"] == "constant" else desc.get("multiplier", 1.0)
+    mult = desc["value"] if desc["kind"] == "constant" else desc["multiplier"]
     w_gain = mult ** (q / p)
 
-    unit = _is_unit(w)
+    w_qp = _weight_grids(cfg, (w, q / p))
+    w_p = _weight_grids(cfg, (w, 1.0))
     tail_shares = [0.0] * cfg.corpus.count
 
     def one_trial(t: int):
@@ -354,9 +371,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
                 outside = ~cube.star().contains(zero.coords())
                 d = np.where(outside, np.abs(x - cube.center[0]), 1.0)
                 acc = acc + (lam * cube.side ** eps) * outside * d ** (gamma - eps)
-            f_lhs = zero.with_samples(acc)
-            w_qp = None if unit else w.pow(q / p).sample(box_k, h_k)
-            lhs_win = weighted_lp_quasinorm(f_lhs, q, w_qp)
+            lhs_win = weighted_lp_quasinorm(zero.with_samples(acc), q, w_qp[k])
 
             # beyond the box: per-cube closed-form bound, using
             # |x|^b <= theta^b * |x - c|^b on each side of the box
@@ -366,7 +381,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
                 c = cube.center[0]
                 amp = lam * cube.side ** eps
                 for dist, edge in ((hi_k - c, abs(hi_k)), (c - lo_k, abs(lo_k))):
-                    theta = 1.0 if b_eff == 0.0 else max(1.0, edge / dist)
+                    theta = max(1.0, edge / dist)
                     integral = (w_gain * theta ** b_eff
                                 * _power_tail_integral(dist, a - b_eff))
                     tail_terms.append(amp ** q * integral)
@@ -376,8 +391,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
             tail_part = total - lhs_win
 
             f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
-            w_p = None if unit else w.sample(box_k, h_k)
-            rhs = weighted_lp_quasinorm(f_rhs, p, w_p)
+            rhs = weighted_lp_quasinorm(f_rhs, p, w_p[k])
             rows.append(TrialRow.make(t, k, total, rhs))
             if k == 0 and total > 0:
                 tail_shares[t] = tail_part / total
@@ -534,8 +548,10 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
         _, q = _lebesgue_pair(cfg)
         apq = apq_constant(w, p, q, family)
         _require(apq.stable, "weight fails off-diagonal stability")
+        w_qg = _weight_grids(cfg, (w, q))
+        w_pg = _weight_grids(cfg, (w, p))
 
-    unit = _is_unit(w)
+    wg = _weight_grids(cfg, (w, 1.0))
     count = cfg.corpus.count
 
     def one_trial(t: int):
@@ -548,19 +564,15 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
             zero = GridFunction.zeros(box_k, h_k)
             lhs_stack = sum(hl_maximal(f).samples ** r for f in fs)
             rhs_stack = sum(np.abs(f.samples) ** r for f in fs)
-            w_k = _dilated(w, k)
-            wg = None if unit else w_k.sample(box_k, h_k)
             lhs = weighted_lp_quasinorm(
-                zero.with_samples(lhs_stack ** (1.0 / r)), p, wg)
+                zero.with_samples(lhs_stack ** (1.0 / r)), p, wg[k])
             rhs = weighted_lp_quasinorm(
-                zero.with_samples(rhs_stack ** (1.0 / r)), p, wg)
+                zero.with_samples(rhs_stack ** (1.0 / r)), p, wg[k])
             rows.append(TrialRow.make(t, k, lhs, rhs))
             if offdiag:
                 f0 = fs[0]
-                w_qg = None if unit else w_k.pow(q).sample(box_k, h_k)
-                w_pg = None if unit else w_k.pow(p).sample(box_k, h_k)
-                lhs2 = weighted_lp_quasinorm(frac_maximal(f0, gamma), q, w_qg)
-                rhs2 = weighted_lp_quasinorm(f0, p, w_pg)
+                lhs2 = weighted_lp_quasinorm(frac_maximal(f0, gamma), q, w_qg[k])
+                rhs2 = weighted_lp_quasinorm(f0, p, w_pg[k])
                 rows.append(TrialRow.make(count + t, k, lhs2, rhs2))
         return rows
 
@@ -621,16 +633,6 @@ def _hardy_exponent_setup(cfg: ExperimentConfig):
     gsplit = [n * (1.0 / pi - 1.0 / qi) for pi, qi in zip(ps, qs)]
     gsplit[-1] = gamma - sum(gsplit[:-1])  # kill rounding in the sum
     return ps, p, q, qs, tuple(gsplit), tuple(weights), rh_reports, rws, N
-
-
-def _wbar_sample(weights, ps, q, box, h: float):
-    if all(_is_unit(w) for w in weights):
-        return None
-    zero = GridFunction.zeros(box, h)
-    acc = np.ones_like(zero.samples)
-    for wi, pi in zip(weights, ps):
-        acc = acc * wi.pow(q / pi).sample(box, h).samples
-    return zero.with_samples(acc)
 
 
 def _atomic_slots(cfg: ExperimentConfig, t: int, m: int, N: int):
@@ -695,6 +697,8 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     (ps, p, q, qs, gsplit, weights, rh_reports, rws, N) = _hardy_exponent_setup(cfg)
     m, n, gamma = cfg.m, cfg.n, cfg.gamma
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
+    wbar = _weight_grids(cfg, *((wi, q / pi) for wi, pi in zip(weights, ps)))
+    w_slots = [_weight_grids(cfg, (wi, 1.0)) for wi in weights]
 
     def one_trial(t: int):
         fams = _atomic_slots(cfg, t, m, N)
@@ -702,13 +706,11 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         for k, box_k, h_k in _sweep(cfg):
             fs = [_dilated(f.realized, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
-            ws = [_dilated(wi, k) for wi in weights]
-            wbar = _wbar_sample(ws, ps, q, box_k, h_k)
-            lhs = weighted_lp_quasinorm(T, q, wbar)
+            lhs = weighted_lp_quasinorm(T, q, wbar[k])
             mol = _mollifier_for(box_k, h_k)
             rhs = 1.0
-            for f, pi, wi in zip(fs, ps, ws):
-                rhs *= hardy_quasinorm(f, pi, None if _is_unit(wi) else wi, mol)
+            for f, pi, wg in zip(fs, ps, w_slots):
+                rhs *= hardy_quasinorm(f, pi, wg[k], mol)
             rows.append(TrialRow.make(t, k, lhs, rhs))
         return rows
 

@@ -168,15 +168,16 @@ class TestHardyQuasinorm:
 
     def test_general_homogeneity(self):
         f = self.atom_sum(H).realized
-        got = hardy_quasinorm(f * 1.7, 0.8, Weight.constant(1.0, 1), self.MOL)
-        ref = hardy_quasinorm(f, 0.8, Weight.constant(1.0, 1), self.MOL)
+        w = Weight.constant(1.0, 1).sample(BOX, H)
+        got = hardy_quasinorm(f * 1.7, 0.8, w, self.MOL)
+        ref = hardy_quasinorm(f, 0.8, w, self.MOL)
         assert got == pytest.approx(1.7 * ref, rel=1e-12)
 
     def test_single_atom_value_stable_under_refinement(self):
         # first-order convergence: consecutive levels agree within 1%
         # once h reaches 2^-9
         vals = [hardy_quasinorm(self.atom_sum(h).realized, 1.0,
-                                Weight.constant(1.0, 1), self.MOL)
+                                Weight.constant(1.0, 1).sample(BOX, h), self.MOL)
                 for h in (2.0 ** -8, 2.0 ** -9)]
         assert all(math.isfinite(v) and v > 0 for v in vals)
         assert vals[1] == pytest.approx(vals[0], rel=0.01)

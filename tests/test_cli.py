@@ -338,6 +338,20 @@ class TestLibraryPreconditions:
         assert message in err
 
 
+    @pytest.mark.parametrize("side", [-10, -9])
+    def test_cubes_without_a_cell_exit_two(self, tmp_path, capsys, side):
+        # at h = 2^-8 a side of 2^-10 or 2^-9 rounds to no cell: a bad
+        # config, refused before any draw, not a failed gate
+        corpus = dict(STAR["corpus"], side_exponents=[side, side])
+        config = write_config(tmp_path, dict(STAR, corpus=corpus))
+        code = cli_main(["verify", "star-sum", "--config", config,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "owns no grid cell" in err
+
+
 @pytest.fixture(scope="module")
 def samples_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "v.csv"

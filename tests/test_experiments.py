@@ -16,6 +16,7 @@ from fracharm.experiments import (
 )
 from fracharm.grid import Cube, GridFunction
 from fracharm.kernels import KenigSteinKernel, apply_frac_operator
+from fracharm.weights import Weight
 
 
 def make(d=None, **kw):
@@ -92,6 +93,57 @@ def test_off_origin_weight_dilates_with_grid(cfg):
     rep = run_experiment(make(cfg))
     assert abs(rep.slope) <= 1e-12
     assert rep.metadata["dilation_drift"] <= 1e-12
+
+
+# Weighted runs at small corpora: fefferman-stein with its off-diagonal pairing.
+WEIGHTED_RUNS = [
+    dict(experiment="star-sum", gamma=0.5, p=1.0,
+         corpus={"seed": 3, "count": 3}, sweep=small_sweep()),
+    dict(experiment="tail-sum", gamma=0.5, p=1.0, epsilon=3.0, r=1.0,
+         corpus={"seed": 3, "count": 3}, sweep=small_sweep()),
+    dict(experiment="fefferman-stein", p=4.0 / 3.0, vector_r=2.0,
+         vector_count=2, gamma=0.5, corpus={"seed": 3, "count": 2},
+         sweep=small_sweep()),
+    dict(experiment="frac-hardy", m=2, gamma=0.5, exponents=[1.0, 1.0],
+         grid={"box": [[-2, 2]], "h": 0.03125},
+         corpus={"seed": 11, "count": 2, "side_exponents": [-3, -1]},
+         sweep=small_sweep()),
+]
+
+
+@pytest.mark.parametrize("cfg", WEIGHTED_RUNS, ids=lambda d: d["experiment"])
+def test_constant_weight_leaves_ratios(cfg):
+    # both sides scale by the same power of a constant weight, so every
+    # ratio matches the unit run, the closed-form tail of tail-sum included
+    unit = run_experiment(make(cfg))
+    four = {"kind": "constant", "value": 4.0}
+    scaled = run_experiment(make(cfg, weights=[four] * cfg.get("m", 1)))
+    assert len(scaled.rows) == len(unit.rows)
+    for a, b in zip(unit.rows, scaled.rows):
+        assert b.ratio == pytest.approx(a.ratio, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("cfg", [WEIGHTED_RUNS[0], WEIGHTED_RUNS[3]],
+                         ids=lambda d: d["experiment"])
+def test_weight_samples_shared_by_trials(cfg, monkeypatch):
+    # weights are sampled once per sweep scale, not once per trial
+    calls = []
+    real = Weight.sample
+
+    def counting(self, box, h):
+        calls.append(1)
+        return real(self, box, h)
+
+    monkeypatch.setattr(Weight, "sample", counting)
+    power = {"kind": "power", "exponent": 0.25}
+    counts = []
+    for count in (2, 4):
+        calls.clear()
+        corpus = dict(cfg["corpus"], count=count)
+        run_experiment(make(cfg, weights=[power] * cfg.get("m", 1),
+                            corpus=corpus))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 class TestTailSum:
