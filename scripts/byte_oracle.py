@@ -6,10 +6,11 @@ digests in the form of ``(cd OUT && sha256sum */* | sha256sum)``: one over
 the one-dimensional configs and one over the ``*_2d.json`` configs.  A change
 that keeps every report byte-identical leaves both digests unchanged.
 
-    python3 scripts/byte_oracle.py    # about 40 s on 2 CPUs
+    python3 scripts/byte_oracle.py    # about 15 s on 2 CPUs
 
-The verdict line of each config goes to standard error.  Exits 1 if any
-config fails to verify.
+The verdict line of each config goes to standard error, followed by the
+config's wall time in seconds (in-process, trials serial); the time is not
+part of any digest.  Exits 1 if any config fails to verify.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,10 +44,13 @@ def _run_group(configs, out: Path) -> bool:
     for path in configs:
         experiment = json.loads(path.read_text())["experiment"]
         buf = io.StringIO()
+        t0 = time.perf_counter()
         with contextlib.redirect_stdout(buf):
             code = cli_main(["verify", experiment, "--config", str(path),
                              "--out", str(out / path.stem)])
-        print(f"{path.name}: {buf.getvalue().strip()}", file=sys.stderr)
+        wall = time.perf_counter() - t0
+        print(f"{path.name}: {buf.getvalue().strip()} [{wall:.3f} s]",
+              file=sys.stderr)
         ok = ok and code == 0
     return ok
 

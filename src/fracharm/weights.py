@@ -312,15 +312,23 @@ def _sup_report(w: Weight, family: DyadicFamily, cube_value, params: dict) -> We
     )
 
 
+def _scale_free(w: Weight) -> Weight:
+    """w, or 1 in place of a constant weight.  The cube constants below do
+    not change under w -> c w, while a constant's own powers can leave the
+    float range: 4^(1-p') underflows and 0.25^(1-p') overflows at p' = 1e6."""
+    return Weight.constant(1.0, dim=w.dim) if w.kind == "constant" else w
+
+
 def ap_constant(w: Weight, p: float, family: DyadicFamily) -> WeightConstantReport:
     """Max over the family of avg(w) * avg(w^(1-p'))^(p-1); at least 1 by Jensen."""
     if not p > 1:
         raise ValueError(f"ap_constant needs p > 1, got {p}")
     conj = p / (p - 1.0)
+    u = _scale_free(w)
 
     def val(q: Cube) -> float:
-        a1 = w.average(q)
-        a2 = w.average(q, power=1.0 - conj)
+        a1 = u.average(q)
+        a2 = u.average(q, power=1.0 - conj)
         if not (math.isfinite(a1) and math.isfinite(a2)):
             return math.inf
         return a1 * a2 ** (p - 1.0)
@@ -332,10 +340,11 @@ def rh_constant(w: Weight, s: float, family: DyadicFamily) -> WeightConstantRepo
     """Max over the family of (avg w^s)^(1/s) / avg(w); at least 1 by Jensen."""
     if not s > 1:
         raise ValueError(f"rh_constant needs s > 1, got {s}")
+    u = _scale_free(w)
 
     def val(q: Cube) -> float:
-        num = w.average(q, power=s)
-        den = w.average(q)
+        num = u.average(q, power=s)
+        den = u.average(q)
         if not math.isfinite(num):
             return math.inf
         return num ** (1.0 / s) / den
@@ -352,10 +361,11 @@ def apq_constant(w: Weight, p: float, q: float, family: DyadicFamily) -> WeightC
     if not (p > 1 and q > 0):
         raise ValueError(f"apq_constant needs p > 1 and q > 0, got p={p}, q={q}")
     conj = p / (p - 1.0)
+    u = _scale_free(w)
 
     def val(cube: Cube) -> float:
-        a1 = w.average(cube, power=q)
-        a2 = w.average(cube, power=-conj)
+        a1 = u.average(cube, power=q)
+        a2 = u.average(cube, power=-conj)
         if not (math.isfinite(a1) and math.isfinite(a2)):
             return math.inf
         return a1 ** (1.0 / q) * a2 ** (1.0 / conj)

@@ -123,6 +123,20 @@ class TestVerify:
         assert not (out / "star-sum.report.json").exists()
         assert not (out / "star-sum.trials.csv").exists()
 
+    @pytest.mark.parametrize("value", [4.0, 0.25])
+    def test_constant_weight_is_a1_with_constant_one(self, tmp_path, capsys, value):
+        # tail-sum checks A_p at p = 1 + 1e-6, where a constant's own power
+        # v^(1-p') leaves the float range; A_p is scale-invariant, so it is 1
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "tail_sum_unit.json"
+        payload = dict(json.loads(shipped.read_text()),
+                       weights=[{"kind": "constant", "value": value}])
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cli_main(["verify", "tail-sum", "--config", cfg,
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "tail-sum.report.json").read_text())
+        assert report["metadata"]["ap"]["constant"] == 1.0
+
     def test_hypothesis_rejection_exits_two(self, tmp_path, capsys):
         payload = dict(STAR, experiment="tail-sum", epsilon=1.2, r=1.5)
         cfg = write_config(tmp_path, payload)

@@ -6,6 +6,7 @@ import pytest
 from fracharm.grid import Cube, GridFunction, GridMismatchError
 from fracharm.kernels import (
     KenigSteinKernel,
+    _subdivision_profile_sum,
     apply_frac_operator,
     kernel_size_check,
     kernel_smoothness_check,
@@ -152,6 +153,16 @@ class TestApplyOperator:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] / errs[1] == pytest.approx(0.5, rel=0.05)
 
+    def test_overridden_profile_is_applied(self):
+        # the sum of exponentials expands the model profile only; a kernel
+        # with its own profile is summed with that profile
+        h = 2.0 ** -6
+        box = ((-2.0, 2.0),)
+        fs = [Cube((0.5,), 1.0).indicator(box, h), Cube((-0.75,), 0.5).indicator(box, h)]
+        model = apply_frac_operator(ks(2, 1, 1.0), fs)
+        scaled = apply_frac_operator(ScaledKernel(m=2, n=1, gamma=1.0), fs)
+        assert np.allclose(scaled.samples, 2.5 * model.samples, rtol=1e-12, atol=0)
+
     def test_zero_support_short_circuits(self):
         f = GridFunction.zeros(((-1.0, 1.0),), 2.0 ** -4)
         out = apply_frac_operator(ks(1, 1, 0.5), [f])
@@ -167,6 +178,71 @@ class TestApplyOperator:
         g = Cube((0.5,), 1.0).indicator(((-1.0, 1.0),), 2.0 ** -4)
         with pytest.raises(GridMismatchError):
             apply_frac_operator(ks(2, 1, 1.0), [f, g])
+
+
+def dense_reference(kernel, fs):
+    """apply_frac_operator's on-grid midpoint sum in 1-D, in long double, by
+    the dense (cell x tuple) tensor.  t / h is the integer offset sum
+    k = sum_i |a - b_i|, so one table of (k h)^(gamma - m) serves."""
+    m, h = kernel.m, np.longdouble(fs[0].h)
+    vs = [f.samples.astype(np.longdouble) for f in fs]
+    G = vs[0].size
+    table = np.zeros(m * G + 1, dtype=np.longdouble)
+    k = np.arange(1, m * G + 1).astype(np.longdouble)
+    table[1:] = (k * h) ** (np.longdouble(kernel.gamma) - m)  # k = 0 is singular
+    sup = [np.flatnonzero(v) for v in vs]
+    out = np.zeros(G, dtype=np.longdouble)
+    chunk = max(1, (1 << 20) // int(np.prod([s.size for s in sup])))
+    for c0 in range(0, G, chunk):
+        a = np.arange(c0, min(G, c0 + chunk))[:, None]
+        K = np.abs(a - sup[0])
+        for i in range(1, m):
+            D = np.abs(a - sup[i])
+            K = K[..., None] + D.reshape(D.shape[:1] + (1,) * i + D.shape[1:])
+        W = table[K]
+        for i in reversed(range(m)):
+            W = W @ vs[i][sup[i]]
+        out[c0 : c0 + chunk] = W
+    diag = np.prod(vs, axis=0)
+    out += np.longdouble(_subdivision_profile_sum(kernel, fs[0].h)) * diag / 3 ** m
+    return out * h ** m
+
+
+def vanishing_moment_atom(rng, size):
+    """Random signs and sizes on ``size`` cells with moments 0 and 1 zero."""
+    f = rng.standard_normal(size)
+    q, _ = np.linalg.qr(np.vander(np.arange(size) - (size - 1) / 2, 2))
+    return f - q @ (q.T @ f)
+
+
+FACTORIZED_CASES = (
+    [(1, G, S, g) for G in (256, 1024) for S in (16, 32, 64, G) for g in (0.25, 0.5)]
+    + [(2, 256, S, g) for S in (16, 32, 64, 256) for g in (0.25, 0.5, 1.3, 1.5)]
+    + [(2, 1024, S, g) for S in (16, 32, 64) for g in (0.25, 0.5, 1.3, 1.5)]
+    + [(3, 64, 16, 1.3), (4, 64, 16, 0.5)]
+)
+
+
+class TestFactorizedOperator:
+    """The 1-D on-grid path against the long-double dense midpoint sum."""
+
+    @pytest.mark.parametrize("m,G,S,gamma", FACTORIZED_CASES)
+    def test_matches_dense_reference(self, m, G, S, gamma):
+        rng = np.random.default_rng([m, G, S, int(100 * gamma)])
+        h = 8.0 / G
+        fs = []
+        for i in range(m):
+            # overlapping, unequal supports: every slot reaches past the
+            # others' hulls on one side
+            v = np.zeros(G)
+            start = 0 if S == G else G // 3 + i * (S // 4)
+            v[start : start + S] = vanishing_moment_atom(rng, S)
+            fs.append(GridFunction(((-4.0, 4.0),), h, v))
+        kernel = ks(m, 1, gamma)
+        got = apply_frac_operator(kernel, fs).samples
+        ref = dense_reference(kernel, fs)
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13
 
 
 class TestSizeCheck:

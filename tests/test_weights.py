@@ -138,6 +138,12 @@ class TestApConstant:
         rep = ap_constant(Weight.constant(5.0), 2.0, SMALL_FAMILY)
         assert rep.value == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [4.0, 0.25])
+    def test_constant_near_p_one(self, value):
+        # v^(1-p') at p' = 1e6 leaves the float range either way
+        rep = ap_constant(Weight.constant(value), 1.0 + 1e-6, SMALL_FAMILY)
+        assert rep.value == pytest.approx(1.0, rel=1e-12)
+
     def test_power_half_a2_value(self):
         rep = ap_constant(Weight.power(0.5), 2.0, FAMILY)
         # the family realizes singularity offsets 0, 1/3, 2/3, 1/2 only,
@@ -202,6 +208,12 @@ class TestRhConstant:
         rep = rh_constant(Weight.constant(1.0), 2.0, SMALL_FAMILY)
         assert rep.value == 1.0
 
+    @pytest.mark.parametrize("value", [4.0, 0.25])
+    def test_constant_scale_invariance(self, value):
+        # v^600 leaves the float range either way
+        rep = rh_constant(Weight.constant(value), 600.0, SMALL_FAMILY)
+        assert rep.value == pytest.approx(1.0, rel=1e-12)
+
     def test_power_half_stable(self):
         rep = rh_constant(Weight.power(0.5), 2.0, FAMILY)
         assert math.isfinite(rep.value)
@@ -230,6 +242,12 @@ class TestApqConstant:
 
     def test_constant_homogeneity(self):
         rep = apq_constant(Weight.constant(3.7), 2.0, 4.0, SMALL_FAMILY)
+        assert rep.value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [4.0, 0.25])
+    def test_constant_near_p_one(self, value):
+        # v^(-p') at p' = 1e6 leaves the float range either way
+        rep = apq_constant(Weight.constant(value), 1.0 + 1e-6, 4.0, SMALL_FAMILY)
         assert rep.value == pytest.approx(1.0, rel=1e-12)
 
     def test_power_eighth(self):
