@@ -1,33 +1,44 @@
 """Byte oracle: digest the reports and trials CSVs of every shipped config.
 
-Runs ``fracharm verify`` in-process on each ``configs/*.json``, writing
-``<out>/<config stem>/<experiment>.{report.json,trials.csv}``, and prints two
-digests in the form of ``(cd OUT && sha256sum */* | sha256sum)``: one over
-the one-dimensional configs and one over the ``*_2d.json`` configs.  A change
-that keeps every report byte-identical leaves both digests unchanged.
+Runs ``fracharm verify`` on each ``configs/*.json`` in a new Python
+interpreter, writing ``<out>/<config stem>/<experiment>.{report.json,
+trials.csv}``, and prints two digests in the form of
+``(cd OUT && sha256sum */* | sha256sum)``: one over the one-dimensional
+configs and one over the ``*_2d.json`` configs.  A change that keeps every
+report byte-identical leaves both digests unchanged.
 
-    python3 scripts/byte_oracle.py    # about 15 s on 2 CPUs
+    python3 scripts/byte_oracle.py    # about 60 s on 2 CPUs
 
 The verdict line of each config goes to standard error, followed by the
-config's wall time in seconds (in-process, trials serial); the time is not
-part of any digest.  Exits 1 if any config fails to verify.
+wall time in seconds of its ``cli_main`` call alone (trials serial); the
+time is not part of any digest.  A fresh interpreter per config keeps each
+time free of what earlier configs left in the process: imports, caches and
+allocator state.  Exits 1 if any config fails to verify.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
+import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 
-from fracharm.cli import cli_main  # noqa: E402
+# one verify call, timed around cli_main; the time is its last stdout line
+_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from fracharm.cli import cli_main
+t0 = time.perf_counter()
+try:
+    code = cli_main(sys.argv[2:])
+finally:
+    print(time.perf_counter() - t0)
+sys.exit(code)
+"""
 
 
 def _digest(out: Path) -> str:
@@ -43,15 +54,15 @@ def _run_group(configs, out: Path) -> bool:
     ok = True
     for path in configs:
         experiment = json.loads(path.read_text())["experiment"]
-        buf = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
-            code = cli_main(["verify", experiment, "--config", str(path),
-                             "--out", str(out / path.stem)])
-        wall = time.perf_counter() - t0
-        print(f"{path.name}: {buf.getvalue().strip()} [{wall:.3f} s]",
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(ROOT / "src"), "verify",
+             experiment, "--config", str(path), "--out", str(out / path.stem)],
+            capture_output=True, text=True)
+        sys.stderr.write(proc.stderr)
+        *verdict, wall = proc.stdout.splitlines() or ["nan"]
+        print(f"{path.name}: {' '.join(verdict)} [{float(wall):.3f} s]",
               file=sys.stderr)
-        ok = ok and code == 0
+        ok = ok and proc.returncode == 0
     return ok
 
 

@@ -10,7 +10,7 @@ bounds are exercised, never assumed.
 
 __version__ = "0.1.0"
 
-from .atoms import Atom, AtomicSum, hardy_quasinorm, random_atomic_family
+from .atoms import Atom, hardy_quasinorm, random_atomic_family
 from .config import ConfigError, CorpusSpec, ExperimentConfig
 from .experiments import EXPERIMENTS, HypothesisError, run_experiment
 from .grid import Cube, DyadicFamily, GridFunction, dyadic_cubes, integrate, weighted_lp_quasinorm
@@ -22,7 +22,6 @@ from .weights import Weight, ap_constant, apq_constant, rh_constant, rw_estimate
 
 __all__ = [
     "Atom",
-    "AtomicSum",
     "AnnuliReport",
     "ChainReport",
     "ChainStep",

@@ -8,10 +8,7 @@ the moment cancellation is exact to rounding rather than an O(h^2) artifact
 of sampling continuum polynomials.
 
 The Hardy quasi-norm composes the smooth maximal function with the weighted
-L^p quasi-norm.  The envelope of a sum replaces each atom by its coefficient
-times the cube indicator, a pointwise majorant of the sum; comparing the norms
-of the two is the control that makes atomic test functions usable as H^p
-inputs.
+L^p quasi-norm.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from .maximal import Mollifier, grand_maximal
 
 __all__ = [
     "Atom",
-    "AtomicSum",
+    "corpus_margin",
     "make_atom",
     "moment",
     "hardy_quasinorm",
@@ -140,42 +137,6 @@ def make_atom(profile: GridFunction, cube: Cube, order: int) -> Atom:
     return Atom(cube=cube, order=order, values=profile.with_samples(out))
 
 
-@dataclass(frozen=True)
-class AtomicSum:
-    """Finite positive combination of atoms with its realized grid function
-    and the indicator envelope that dominates it pointwise."""
-
-    lambdas: tuple
-    atoms: tuple
-    realized: GridFunction
-    envelope: GridFunction
-
-    @classmethod
-    def build(cls, lambdas, atoms, *, box=None,
-              h: float | None = None) -> "AtomicSum":
-        lambdas = tuple(float(lam) for lam in lambdas)
-        atoms = tuple(atoms)
-        if len(lambdas) != len(atoms):
-            raise ValueError("need one coefficient per atom")
-        if any(lam <= 0 for lam in lambdas):
-            raise ValueError("coefficients must be positive")
-        if not atoms:
-            if box is None or h is None:
-                raise ValueError("empty sum needs an explicit grid")
-            zero = GridFunction.zeros(box, h)
-            return cls(lambdas, atoms, zero, zero)
-        g0 = atoms[0].values
-        f = np.zeros_like(g0.samples)
-        env = np.zeros_like(g0.samples)
-        for lam, atom in zip(lambdas, atoms):
-            g0._require_same_grid(atom.values)
-            f = f + lam * atom.values.samples
-            env = env + lam * atom.cube.indicator(g0.box, g0.h).samples
-        if np.any(np.abs(f) > env):
-            raise ValueError("realized sum escapes its envelope")
-        return cls(lambdas, atoms, g0.with_samples(f), g0.with_samples(env))
-
-
 def hardy_quasinorm(f: GridFunction, p: float, w: GridFunction | None,
                     mol: Mollifier) -> float:
     """Weighted L^p quasi-norm of the smooth maximal function of f; ``w`` is
@@ -183,13 +144,18 @@ def hardy_quasinorm(f: GridFunction, p: float, w: GridFunction | None,
     return weighted_lp_quasinorm(grand_maximal(f, mol), p, w)
 
 
-def random_cube(rng, box, h: float, side_exponents,
-                margin: float | None = None) -> Cube:
+def corpus_margin(box) -> float:
+    """How far every corpus cube stays inside the box, a quarter of its
+    shortest side, so the smooth maximal function and the cube stars have
+    room."""
+    return min(hi - lo for lo, hi in box) / 4.0
+
+
+def random_cube(rng, box, h: float, side_exponents) -> Cube:
     """The corpus placement law: a dyadic side 2**j with j uniform in
-    ``side_exponents``, then per axis a grid-aligned corner kept ``margin``
-    (default a quarter of the shortest box side) inside the box."""
-    if margin is None:
-        margin = min(hi - lo for lo, hi in box) / 4.0
+    ``side_exponents``, then per axis a grid-aligned corner kept
+    ``corpus_margin(box)`` inside the box."""
+    margin = corpus_margin(box)
     side = 2.0 ** int(rng.integers(side_exponents[0], side_exponents[1] + 1))
     n_side = round(side / h)
     first = math.ceil(margin / h)
@@ -210,13 +176,11 @@ def random_coefficient(rng, lambda_range) -> float:
 
 def random_atomic_family(seed: int, count: int, *, box, h: float,
                          side_exponents=(-2, 1), lambda_range=(0.5, 2.0),
-                         order: int = 1, margin: float | None = None) -> AtomicSum:
-    """Deterministic random atomic sum: dyadic sides, grid-aligned corners,
-    log-uniform coefficients, uniform profiles projected by make_atom.
-
-    ``margin`` keeps every cube that far from the boundary (default a quarter
-    of the shortest box side) so the smooth maximal function has room.
-    """
+                         order: int = 1) -> GridFunction:
+    """Deterministic random atomic sum, realized on the grid: dyadic sides,
+    corners under the ``random_cube`` law, log-uniform coefficients, uniform
+    profiles projected by make_atom.  The terms lam_i * a_i are added to
+    zeros in draw order."""
     zero = GridFunction.zeros(box, h)
     j_lo, j_hi = int(side_exponents[0]), int(side_exponents[1])
     if j_lo > j_hi:
@@ -227,13 +191,12 @@ def random_atomic_family(seed: int, count: int, *, box, h: float,
         raise ValueError("coefficient range must be positive")
 
     rng = np.random.default_rng(seed)
-    atoms = []
-    lambdas = []
+    f = np.zeros_like(zero.samples)
     for _ in range(count):
-        cube = random_cube(rng, zero.box, h, (j_lo, j_hi), margin)
+        cube = random_cube(rng, zero.box, h, (j_lo, j_hi))
         cells = zero.cells(cube)
         prof = np.zeros_like(zero.samples)
         prof[cells] = rng.uniform(-1.0, 1.0, size=prof[cells].shape)
-        atoms.append(make_atom(zero.with_samples(prof), cube, order))
-        lambdas.append(random_coefficient(rng, lambda_range))
-    return AtomicSum.build(lambdas, atoms, box=box, h=h)
+        atom = make_atom(zero.with_samples(prof), cube, order)
+        f = f + random_coefficient(rng, lambda_range) * atom.values.samples
+    return zero.with_samples(f)

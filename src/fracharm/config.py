@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .grid import tile_count
 from .varexp import ExponentFunction
 from .weights import Weight
 
@@ -51,10 +52,9 @@ __all__ = ["ConfigError", "CorpusSpec", "ExperimentConfig"]
 
 
 class ConfigError(ValueError):
-    """Malformed configuration, with the field path that caused it."""
+    """Malformed configuration; the message names the offending field."""
 
     def __init__(self, message: str, field_path: str | None = None):
-        self.field_path = field_path
         if field_path:
             message = f"config field '{field_path}': {message}"
         super().__init__(message)
@@ -294,8 +294,7 @@ class ExperimentConfig:
             hi = _as_number(pair[1], f"grid.box[{axis}]")
             if hi <= lo:
                 raise ConfigError("axis interval is empty", f"grid.box[{axis}]")
-            cells = (hi - lo) / h
-            if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
+            if not tile_count(hi - lo, h):
                 raise ConfigError("axis length is not a multiple of h",
                                   f"grid.box[{axis}]")
             box.append((lo, hi))

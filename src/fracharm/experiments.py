@@ -30,7 +30,13 @@ import math
 
 import numpy as np
 
-from .atoms import hardy_quasinorm, random_atomic_family, random_coefficient, random_cube
+from .atoms import (
+    corpus_margin,
+    hardy_quasinorm,
+    random_atomic_family,
+    random_coefficient,
+    random_cube,
+)
 from .config import ExperimentConfig
 from .grid import Cube, GridFunction, integrate, weighted_lp_quasinorm
 from .kernels import (
@@ -43,7 +49,6 @@ from .kernels import (
 from .maximal import Mollifier, frac_maximal, grand_maximal, hl_maximal
 from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
 from .varexp import (
-    _reciprocal_target,
     derive_system,
     dual_witness,
     log_holder_estimate,
@@ -51,6 +56,7 @@ from .varexp import (
     maximal_opnorm_estimate,
     modular,
     rubio_properties_check,
+    target_exponent,
 )
 from .weights import (
     Weight,
@@ -114,8 +120,7 @@ def _sweep(cfg: ExperimentConfig, ks=None):
 def _mollifier_for(box, h: float) -> Mollifier:
     """Dyadic bump ladder from two cells up to the corpus margin, derived
     from the grid so the ladder shifts exactly under joint dilation."""
-    margin = min(hi - lo for lo, hi in box) / 4.0
-    j_hi = int(math.floor(math.log2(margin) + 1e-9))
+    j_hi = int(math.floor(math.log2(corpus_margin(box)) + 1e-9))
     j_lo = int(math.ceil(math.log2(2.0 * h) - 1e-9))
     if j_lo > j_hi:
         raise HypothesisError("grid too coarse for the smooth maximal ladder")
@@ -277,10 +282,9 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
     rh = rh_constant(w, q / p, family)
     _require(rh.stable, "weight fails reverse-Hoelder stability at order q/p")
 
-    margin = min(hi - lo for lo, hi in cfg.box) / 4.0
     side_max = 2.0 ** cfg.corpus.side_exponents[1]
     tau = 2.0 * math.sqrt(n)
-    _require(side_max * (tau - 1.0) / 2.0 <= margin,
+    _require(side_max * (tau - 1.0) / 2.0 <= corpus_margin(cfg.box),
              "largest cube star escapes the box margin")
 
     w_qp = _weight_grids(cfg, (w, q / p))
@@ -704,7 +708,7 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         fams = _atomic_slots(cfg, t, m, N)
         rows = []
         for k, box_k, h_k in _sweep(cfg):
-            fs = [_dilated(f.realized, k) for f in fams]
+            fs = [_dilated(f, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
             lhs = weighted_lp_quasinorm(T, q, wbar[k])
             mol = _mollifier_for(box_k, h_k)
@@ -759,7 +763,7 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
             sup_prod *= g.sup_norm()
         rows = []
         for k, box_k, h_k in _sweep(cfg):
-            fs = [_dilated(f.realized, k) for f in fams]
+            fs = [_dilated(f, k) for f in fams]
             gsk = [_dilated(g, k) for g in gs]
             T = apply_frac_operator(kernel, fs + gsk)
             lhs = weighted_lp_quasinorm(T, q)
@@ -787,8 +791,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     m, n, gamma = _slots(cfg, constant=False)
     _require(not cfg.weights, "this run takes no weights")
     exponents = cfg.exponents
-    room = sum(1.0 / p.p_plus for p in exponents) - gamma / n
-    _require(room > 0, "sum of 1/[p_i(.)]_+ must exceed gamma/n")
+    target = target_exponent(exponents, gamma)
     lh_reports = []
     for i, pex in enumerate(exponents):
         if pex.kind == "constant":
@@ -797,10 +800,6 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         rep = log_holder_estimate(pex, window=cfg.box)
         _require(rep.stable, f"exponent {i} fails log-Hoelder stability")
         lh_reports.append(rep)
-    target = _reciprocal_target(
-        exponents, gamma / n,
-        1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / n), 1.0 / room,
-        "target")
 
     N = 1
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
@@ -817,7 +816,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         fams = _atomic_slots(cfg, t, m, N)
         rows = []
         for k, box_k, h_k in _sweep(cfg):
-            fs = [_dilated(f.realized, k) for f in fams]
+            fs = [_dilated(f, k) for f in fams]
             T = apply_frac_operator(kernel, fs)
             vcap = T.sup_norm() * (1.0 + 1e-12)
             rcap = r_rad * 2.0 ** k
@@ -863,14 +862,13 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     qbar_c = qbar.conjugate()
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=2)
 
-    fams = [
+    fs = [
         random_atomic_family(_subseed(cfg.corpus.seed, 8, i),
                              cfg.corpus.atoms_per_trial[1], box=cfg.box,
                              h=cfg.h, side_exponents=cfg.corpus.side_exponents,
                              lambda_range=cfg.corpus.lambda_range, order=1)
         for i in range(m)
     ]
-    fs = [f.realized for f in fams]
     F = abs(apply_frac_operator(kernel, fs))
     _require(F.sup_norm() > 0, "the operator output vanished for this tuple")
     G = F.power(q)

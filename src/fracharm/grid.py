@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class Cube:
         """The concentric enlargement by 2*sqrt(dim)."""
         return self.dilate(2.0 * math.sqrt(self.dim))
 
-    def scaled(self, factor: float, about: Sequence[float] | None = None) -> "Cube":
-        """Rescale side (and center, when ``about`` is given) by a positive factor.
+    def scaled(self, factor: float, about: Sequence[float]) -> "Cube":
+        """Rescale side and center about the point ``about`` by a positive factor.
 
         Unlike :meth:`dilate` this is plain coordinate scaling, so shrinking
         is allowed; it is the primitive used for dilation sweeps, and runs in
@@ -107,8 +107,6 @@ class Cube:
         """
         if not factor > 0:
             raise ValueError("scale factor must be positive")
-        if about is None:
-            return Cube(self.center, self.side * factor)
         if len(about) != self.dim:
             raise ValueError("scaling center has the wrong dimension")
         c = tuple(float(a) + factor * (x - float(a)) for a, x in zip(about, self.center))
@@ -141,9 +139,8 @@ class Cube:
 def _axis_counts(box, h) -> tuple[int, ...]:
     counts = []
     for lo, hi in box:
-        raw = (hi - lo) / h
-        cnt = round(raw)
-        if cnt < 1 or abs(raw - cnt) > 1e-9 * max(1.0, abs(raw)):
+        cnt = tile_count(hi - lo, h)
+        if not cnt:
             raise ValueError(f"box extent ({lo}, {hi}) is not an integer multiple of h={h}")
         counts.append(cnt)
     return tuple(counts)
@@ -178,13 +175,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, box, h: float) -> "GridFunction":
         return cls(_as_box(box), float(h), np.zeros(_axis_counts(_as_box(box), float(h))))
-
-    @classmethod
-    def from_callable(cls, box, h: float, fn: Callable) -> "GridFunction":
-        g = cls.zeros(box, h)
-        pts = g.coords()
-        vals = np.asarray(fn(*(pts[..., a] for a in range(g.dim))), dtype=float)
-        return g.with_samples(np.broadcast_to(vals, g.samples.shape))
 
     def with_samples(self, samples: np.ndarray) -> "GridFunction":
         return GridFunction(self.box, self.h, samples)
@@ -317,8 +307,8 @@ class DyadicFamily:
 
 
 def tile_count(extent: float, side: float) -> int:
-    """How many cubes of this side tile an interval of this extent, to a
-    relative 1e-9; 0 when they do not."""
+    """How many cubes (or grid cells) of this side tile an interval of this
+    extent, to a relative 1e-9; 0 when they do not."""
     raw = extent / side
     if not math.isfinite(raw):
         return 0

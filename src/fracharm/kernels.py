@@ -47,7 +47,8 @@ __all__ = [
 
 def _fast_power(t: np.ndarray, e: float) -> np.ndarray:
     """t^e for positive t with shortcuts for the half-integer exponents the
-    model kernel actually produces (they dominate the operator's runtime)."""
+    model kernel produces; they serve the dense operator path, the kernel
+    checks and the subdivision correction."""
     if e == -0.5:
         return 1.0 / np.sqrt(t)
     if e == -1.0:
@@ -330,8 +331,12 @@ def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
 # -- kernel condition checks ---------------------------------------------------
 
 
+# the kernel checks draw x and every y_i uniformly from [-2, 2]^n
+_SAMPLE_RADIUS = 2.0
+
+
 def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
-                           radius: float, min_t: float, per_slot: bool = False):
+                           min_t: float, per_slot: bool = False):
     """Uniform configurations with t = sum_i |x - y_i| above min_t; with
     per_slot=True every individual slot distance must clear min_t instead,
     which is the right admissible set for derivative estimates (the kernel
@@ -343,8 +348,9 @@ def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
     ys = np.empty((0, kernel.m, kernel.n))
     while xs.shape[0] < count:
         draw = max(count, 64)
-        x = rng.uniform(-radius, radius, size=(draw, kernel.n))
-        y = rng.uniform(-radius, radius, size=(draw, kernel.m, kernel.n))
+        x = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS, size=(draw, kernel.n))
+        y = rng.uniform(-_SAMPLE_RADIUS, _SAMPLE_RADIUS,
+                        size=(draw, kernel.m, kernel.n))
         d = np.linalg.norm(x[:, None, :] - y, axis=-1)
         keep = (d.min(axis=-1) if per_slot else d.sum(axis=-1)) > min_t
         xs = np.concatenate([xs, x[keep]])
@@ -355,9 +361,9 @@ def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
 
 
 def kernel_size_check(kernel: KenigSteinKernel, sample_count: int = 400, *,
-                      seed: int = 0, radius: float = 2.0, min_t: float = 1e-3) -> float:
+                      seed: int = 0, min_t: float = 1e-3) -> float:
     """Max over random off-diagonal configurations of |K| * t^(mn - gamma)."""
-    x, ys, t, _ = _sample_configurations(kernel, sample_count, seed, radius, min_t)
+    x, ys, t, _ = _sample_configurations(kernel, sample_count, seed, min_t)
     vals = np.abs(kernel.evaluate(x, ys))
     return float(np.max(vals * _fast_power(t, kernel.m * kernel.n - kernel.gamma)))
 
@@ -401,26 +407,18 @@ def _derivative_sum(kernel: KenigSteinKernel, x, ys, order: int, step):
 
 
 def kernel_smoothness_check(kernel: KenigSteinKernel, order: int, sample_count: int = 200,
-                            fd_step: float | None = None, *, seed: int = 0,
-                            radius: float = 2.0, min_t: float = 1e-2) -> float:
+                            *, seed: int = 0, min_t: float = 1e-2) -> float:
     """Max over samples of (sum of slot derivatives of order N, estimated by
     central differences) * t^(mn + N - gamma); order 0 is the size check."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order == 0:
-        return kernel_size_check(kernel, sample_count, seed=seed,
-                                 radius=radius, min_t=min_t)
-    x, ys, t, dmin = _sample_configurations(kernel, sample_count, seed, radius,
-                                            min_t, per_slot=True)
+        return kernel_size_check(kernel, sample_count, seed=seed, min_t=min_t)
+    x, ys, t, dmin = _sample_configurations(kernel, sample_count, seed, min_t,
+                                            per_slot=True)
     # the step must clear the nearest slot kink, not just the full diagonal:
     # with m >= 2 a slot can sit much closer to x than t/16
-    if fd_step is None:
-        step = dmin / 16.0
-    else:
-        if np.any(dmin <= 8.0 * order * fd_step):
-            raise ValueError("samples too near a slot diagonal for the chosen fd_step")
-        step = np.full_like(t, float(fd_step))
-    deriv = _derivative_sum(kernel, x, ys, order, step)
+    deriv = _derivative_sum(kernel, x, ys, order, dmin / 16.0)
     power = _fast_power(t, kernel.m * kernel.n + order - kernel.gamma)
     return float(np.max(deriv * power))
 
@@ -481,9 +479,13 @@ def taylor_polynomial(kernel: KenigSteinKernel, slot: int, center, order: int) -
     return TaylorData(kernel=kernel, slot=slot, center=center, order=order)
 
 
+# x and the other slots sit at infinity-norm distance 1.01 to 4 times
+# side * sqrt(n) from the cube center, outside its star
+_TAYLOR_SPAN = (1.01, 4.0)
+
+
 def taylor_remainder_check(kernel: KenigSteinKernel, td: TaylorData, cube: Cube, *,
-                           n_samples: int = 200, seed: int = 0,
-                           x_span=(1.01, 4.0)) -> float:
+                           n_samples: int = 200, seed: int = 0) -> float:
     """Max over samples of |K - P| * t^(mn + N - gamma) / side^N with the
     expansion slot in the cube and x outside its star."""
     if cube.dim != kernel.n:
@@ -497,7 +499,7 @@ def taylor_remainder_check(kernel: KenigSteinKernel, td: TaylorData, cube: Cube,
 
     def annulus(count):
         # infinity-norm annulus strictly outside the star
-        r = side * math.sqrt(n) * rng.uniform(x_span[0], x_span[1], size=count)
+        r = side * math.sqrt(n) * rng.uniform(*_TAYLOR_SPAN, size=count)
         u = rng.uniform(-1.0, 1.0, size=(count, n))
         amax = np.max(np.abs(u), axis=1, keepdims=True)
         return c + r[:, None] * u / amax

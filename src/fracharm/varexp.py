@@ -39,6 +39,7 @@ __all__ = [
     "luxemburg_norm",
     "log_holder_estimate",
     "derive_system",
+    "target_exponent",
     "rubio_iterate",
     "rubio_properties_check",
     "maximal_opnorm_estimate",
@@ -281,6 +282,19 @@ def _reciprocal_target(exponents, gamma_over_n, lo, hi, label):
                             {"label": label})
 
 
+def target_exponent(exponents, gamma: float) -> ExponentFunction:
+    """The target q(.) = 1 / (sum 1/p_i(.) - gamma/n), with its bounds;
+    refused unless sum 1/[p_i(.)]_+ exceeds gamma/n."""
+    dim = exponents[0].dim
+    room = sum(1.0 / p.p_plus for p in exponents) - gamma / dim
+    if room <= 0:
+        raise ValueError("sum of 1/[p_i(.)]_+ must exceed gamma/n")
+    return _reciprocal_target(
+        exponents, gamma / dim,
+        1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / dim),
+        1.0 / room, "q")
+
+
 def derive_system(exponents, scalars, gamma: float, *, window=None,
                   samples: int = 1000, seed: int = 0) -> ExtrapolationExponentSystem:
     """Split gamma across slots, build every derived exponent, and certify
@@ -302,9 +316,7 @@ def derive_system(exponents, scalars, gamma: float, *, window=None,
     for p, s in zip(exponents, scalars):
         if not 0 < s < p.p_minus:
             raise ValueError("each scalar must sit strictly below [p_i(.)]_-")
-    room = sum(1.0 / p.p_plus for p in exponents) - gamma / dim
-    if room <= 0:
-        raise ValueError("sum of 1/[p_i(.)]_+ must exceed gamma/n")
+    target = target_exponent(exponents, gamma)
 
     shares = [dim / p.p_plus for p in exponents]
     total = sum(shares)
@@ -326,10 +338,6 @@ def derive_system(exponents, scalars, gamma: float, *, window=None,
                            1.0 / (1.0 / p.p_plus - g / dim), f"q_{i}")
         for i, (p, g) in enumerate(zip(exponents, gammas))
     )
-    target = _reciprocal_target(
-        exponents, gamma / dim,
-        1.0 / (sum(1.0 / p.p_minus for p in exponents) - gamma / dim),
-        1.0 / room, "q")
     target_bar = target.scaled(1.0 / target_scalar)
 
     p_bars = tuple(p.scaled(1.0 / s) for p, s in zip(exponents, scalars))

@@ -375,8 +375,12 @@ def apq_constant(w: Weight, p: float, q: float, family: DyadicFamily) -> WeightC
                         "consistent": bool(p > 1 and q > p)})
 
 
-def rw_estimate(w: Weight, family: DyadicFamily, p_grid, cap: float = 1e6) -> float:
-    """Smallest p in the grid whose A_p report is stable with value below cap.
+# an A_p constant at or above this counts as no membership in rw_estimate
+_RW_CAP = 1e6
+
+
+def rw_estimate(w: Weight, family: DyadicFamily, p_grid) -> float:
+    """Smallest p in the grid whose A_p report is stable with value below 1e6.
 
     Brackets inf{p : w in A_p} from above on the supplied grid; +inf when no
     grid point qualifies.
@@ -388,6 +392,6 @@ def rw_estimate(w: Weight, family: DyadicFamily, p_grid, cap: float = 1e6) -> fl
         raise ValueError("p_grid entries must exceed 1")
     for p in p_grid:
         rep = ap_constant(w, p, family)
-        if rep.stable and rep.value < cap:
+        if rep.stable and rep.value < _RW_CAP:
             return p
     return math.inf

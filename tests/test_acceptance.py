@@ -190,7 +190,9 @@ def test_criterion_04_majorant_iteration(criteria):
     with criteria.guard(4) as g:
         t0 = time.perf_counter()
         box, h = ((-8.0, 8.0),), 2.0 ** -5
-        f = GridFunction.from_callable(box, h, lambda x: np.exp(-x * x / 4.0))
+        f = GridFunction.zeros(box, h)
+        x = f.coords()[..., 0]
+        f = f.with_samples(np.exp(-x * x / 4.0))
         sigma = ExponentFunction.log_decay(1.5, 0.5)
         opnorm = maximal_opnorm_estimate(sigma, [f, hl_maximal(f)])
         report = rubio_properties_check(f, sigma, opnorm, depth=8,

@@ -5,11 +5,12 @@ import pytest
 
 from fracharm.atoms import (
     Atom,
-    AtomicSum,
     hardy_quasinorm,
     make_atom,
     moment,
     random_atomic_family,
+    random_coefficient,
+    random_cube,
 )
 from fracharm.grid import Cube, GridFunction, weighted_lp_quasinorm
 from fracharm.maximal import Mollifier
@@ -24,6 +25,45 @@ def masked_profile(box, h, cube, fn):
     x = zero.coords()[..., 0]
     inside = cube.contains(zero.coords().reshape(-1, zero.dim)).reshape(x.shape)
     return zero.with_samples(np.where(inside, fn(x), 0.0))
+
+
+def realized(lambdas, atoms):
+    """sum_i lam_i a_i, added to zeros in order."""
+    f = np.zeros_like(atoms[0].values.samples)
+    for lam, a in zip(lambdas, atoms):
+        f = f + lam * a.values.samples
+    return atoms[0].values.with_samples(f)
+
+
+def envelope(lambdas, atoms, box, h):
+    """sum_i lam_i chi_{Q_i}, the pointwise majorant of the realized sum."""
+    zero = GridFunction.zeros(box, h)
+    env = np.zeros_like(zero.samples)
+    for lam, a in zip(lambdas, atoms):
+        env = env + lam * a.cube.indicator(box, h).samples
+    return zero.with_samples(env)
+
+
+def family_draws(seed, count, *, box, h, side_exponents, order=1,
+                 lambda_range=(0.5, 2.0)):
+    """The coefficients and atoms behind random_atomic_family, drawn again
+    under its law."""
+    zero = GridFunction.zeros(box, h)
+    rng = np.random.default_rng(seed)
+    lambdas, atoms = [], []
+    for _ in range(count):
+        cube = random_cube(rng, zero.box, h, side_exponents)
+        prof = np.zeros_like(zero.samples)
+        cells = zero.cells(cube)
+        prof[cells] = rng.uniform(-1.0, 1.0, size=prof[cells].shape)
+        atoms.append(make_atom(zero.with_samples(prof), cube, order))
+        lambdas.append(random_coefficient(rng, lambda_range))
+    return lambdas, atoms
+
+
+def support_coords(f):
+    """Cell centers where f is nonzero, shape (count, dim)."""
+    return f.coords()[f.samples != 0.0]
 
 
 class TestMakeAtom:
@@ -127,27 +167,6 @@ class TestAtomValidation:
             Atom(cube=q, order=0, values=q.indicator(BOX, H))
 
 
-class TestAtomicSum:
-    def test_envelope_dominates_exactly(self):
-        s = random_atomic_family(0, 10, box=((-4.0, 4.0),), h=2.0 ** -6,
-                                 side_exponents=(-2, 0))
-        assert np.all(np.abs(s.realized.samples) <= s.envelope.samples)
-
-    def test_empty_sum_needs_grid(self):
-        s = AtomicSum.build([], [], box=BOX, h=H)
-        assert np.all(s.realized.samples == 0.0)
-        with pytest.raises(ValueError):
-            AtomicSum.build([], [])
-
-    def test_coefficient_validation(self):
-        q = Cube((0.0,), 1.0)
-        a = make_atom(masked_profile(BOX, H, q, lambda x: x), q, 0)
-        with pytest.raises(ValueError):
-            AtomicSum.build([1.0, 2.0], [a])
-        with pytest.raises(ValueError):
-            AtomicSum.build([-1.0], [a])
-
-
 class TestHardyQuasinorm:
     MOL = Mollifier.dyadic(-3, -1)
 
@@ -155,19 +174,19 @@ class TestHardyQuasinorm:
         q = Cube((0.5,), 1.0)
         prof = masked_profile(BOX, h, q, lambda x: np.sin(2.0 * np.pi * x))
         a = make_atom(prof, q, 1)
-        return AtomicSum.build([1.0], [a])
+        return realized([1.0], [a])
 
     def test_zero_function(self):
         z = GridFunction.zeros(BOX, H)
         assert hardy_quasinorm(z, 1.0, None, self.MOL) == 0.0
 
     def test_power_of_two_homogeneity_exact(self):
-        f = self.atom_sum(H).realized
+        f = self.atom_sum(H)
         assert hardy_quasinorm(f * 2.0, 1.0, None, self.MOL) == \
             2.0 * hardy_quasinorm(f, 1.0, None, self.MOL)
 
     def test_general_homogeneity(self):
-        f = self.atom_sum(H).realized
+        f = self.atom_sum(H)
         w = Weight.constant(1.0, 1).sample(BOX, H)
         got = hardy_quasinorm(f * 1.7, 0.8, w, self.MOL)
         ref = hardy_quasinorm(f, 0.8, w, self.MOL)
@@ -176,7 +195,7 @@ class TestHardyQuasinorm:
     def test_single_atom_value_stable_under_refinement(self):
         # first-order convergence: consecutive levels agree within 1%
         # once h reaches 2^-9
-        vals = [hardy_quasinorm(self.atom_sum(h).realized, 1.0,
+        vals = [hardy_quasinorm(self.atom_sum(h), 1.0,
                                 Weight.constant(1.0, 1).sample(BOX, h), self.MOL)
                 for h in (2.0 ** -8, 2.0 ** -9)]
         assert all(math.isfinite(v) and v > 0 for v in vals)
@@ -185,7 +204,7 @@ class TestHardyQuasinorm:
     def test_margin_violation_propagates(self):
         q = Cube((-1.7,), 0.5)
         prof = masked_profile(BOX, H, q, lambda x: np.sin(8.0 * x + 0.3))
-        f = AtomicSum.build([1.0], [make_atom(prof, q, 0)]).realized
+        f = realized([1.0], [make_atom(prof, q, 0)])
         with pytest.raises(ValueError, match="margin"):
             hardy_quasinorm(f, 1.0, None, Mollifier.dyadic(-1, 0))
 
@@ -194,55 +213,63 @@ class TestEnvelopeNorm:
     def test_single_indicator_low_p(self):
         q = Cube((1.0,), 2.0)
         prof = masked_profile(BOX, H, q, lambda x: np.sin(np.pi * x))
-        s = AtomicSum.build([1.0], [make_atom(prof, q, 0)])
+        env = envelope([1.0], [make_atom(prof, q, 0)], BOX, H)
         w = Weight.constant(1.0, 1).sample(BOX, H)
-        assert weighted_lp_quasinorm(s.envelope, 0.5, w) == 4.0
+        assert weighted_lp_quasinorm(env, 0.5, w) == 4.0
 
     def test_disjoint_cubes_additive_at_p_one(self):
         q1, q2 = Cube((-1.0,), 0.5), Cube((1.0,), 0.5)
         a1 = make_atom(masked_profile(BOX, H, q1, lambda x: x + 1.0), q1, 0)
         a2 = make_atom(masked_profile(BOX, H, q2, lambda x: x - 1.0), q2, 0)
-        s = AtomicSum.build([2.0, 3.0], [a1, a2])
-        assert weighted_lp_quasinorm(s.envelope, 1.0) == pytest.approx(
+        env = envelope([2.0, 3.0], [a1, a2], BOX, H)
+        assert weighted_lp_quasinorm(env, 1.0) == pytest.approx(
             2.0 * 0.5 + 3.0 * 0.5, rel=1e-14)
 
     def test_overlapping_cubes_match_direct_quadrature(self):
         q1, q2 = Cube((0.0,), 1.0), Cube((0.25,), 1.0)
         a1 = make_atom(masked_profile(BOX, H, q1, lambda x: x), q1, 0)
         a2 = make_atom(masked_profile(BOX, H, q2, lambda x: x - 0.25), q2, 0)
-        s = AtomicSum.build([1.0, 2.0], [a1, a2])
         env = q1.indicator(BOX, H).samples + 2.0 * q2.indicator(BOX, H).samples
         direct = (H * np.sum(env ** 0.5)) ** 2.0
-        assert weighted_lp_quasinorm(s.envelope, 0.5) == pytest.approx(direct, rel=1e-14)
+        assert weighted_lp_quasinorm(envelope([1.0, 2.0], [a1, a2], BOX, H), 0.5) == \
+            pytest.approx(direct, rel=1e-14)
 
 
 class TestRandomFamily:
-    KW = dict(box=((-4.0, 4.0),), h=2.0 ** -6, side_exponents=(-2, 0))
+    BOX, H = ((-4.0, 4.0),), 2.0 ** -6
+    KW = dict(box=BOX, h=H, side_exponents=(-2, 0))
 
     def test_deterministic_in_seed(self):
-        s1 = random_atomic_family(9, 12, **self.KW)
-        s2 = random_atomic_family(9, 12, **self.KW)
-        assert np.array_equal(s1.realized.samples, s2.realized.samples)
-        assert s1.lambdas == s2.lambdas
-        assert [a.cube for a in s1.atoms] == [a.cube for a in s2.atoms]
+        f1 = random_atomic_family(9, 12, **self.KW)
+        f2 = random_atomic_family(9, 12, **self.KW)
+        assert np.array_equal(f1.samples, f2.samples)
+        lam1, atoms1 = family_draws(9, 12, **self.KW)
+        lam2, atoms2 = family_draws(9, 12, **self.KW)
+        assert lam1 == lam2
+        assert [a.cube for a in atoms1] == [a.cube for a in atoms2]
+        # the family is the sum of its draws, bit for bit
+        assert np.array_equal(f1.samples, realized(lam1, atoms1).samples)
 
     def test_zero_count(self):
-        s = random_atomic_family(1, 0, **self.KW)
-        assert np.all(s.realized.samples == 0.0)
-        assert s.atoms == ()
+        f = random_atomic_family(1, 0, **self.KW)
+        assert np.all(f.samples == 0.0)
+        assert family_draws(1, 0, **self.KW) == ([], [])
 
     def test_statistics_reproducible(self):
-        s1 = random_atomic_family(7, 50, **self.KW)
-        s2 = random_atomic_family(7, 50, **self.KW)
-        assert s1.envelope.sup_norm() == s2.envelope.sup_norm()
-        assert s1.realized.sup_norm() == s2.realized.sup_norm()
+        f1 = random_atomic_family(7, 50, **self.KW)
+        f2 = random_atomic_family(7, 50, **self.KW)
+        env1 = envelope(*family_draws(7, 50, **self.KW), self.BOX, self.H)
+        env2 = envelope(*family_draws(7, 50, **self.KW), self.BOX, self.H)
+        assert env1.sup_norm() == env2.sup_norm()
+        assert f1.sup_norm() == f2.sup_norm()
 
     def test_margin_respected(self):
-        s = random_atomic_family(2, 20, **self.KW)
-        lo, hi = s.realized.box[0]
-        for a in s.atoms:
-            assert a.cube.lo[0] >= lo + 2.0 - 1e-12
-            assert a.cube.hi[0] <= hi - 2.0 + 1e-12
+        f = random_atomic_family(2, 20, **self.KW)
+        lo, hi = f.box[0]
+        x = support_coords(f)[:, 0]
+        assert x.size
+        assert np.all(x - self.H / 2 >= lo + 2.0 - 1e-12)
+        assert np.all(x + self.H / 2 <= hi - 2.0 + 1e-12)
 
     def test_side_too_small_for_order(self):
         with pytest.raises(ValueError):
@@ -250,32 +277,39 @@ class TestRandomFamily:
                                  side_exponents=(-2, 0), order=1)
 
     def test_2d_family(self):
-        s = random_atomic_family(3, 4, box=((-2.0, 2.0), (-2.0, 2.0)),
-                                 h=2.0 ** -4, side_exponents=(-1, 0))
-        assert np.all(np.abs(s.realized.samples) <= s.envelope.samples)
-        assert all(a.values.sup_norm() == 1.0 for a in s.atoms)
+        box, h = ((-2.0, 2.0), (-2.0, 2.0)), 2.0 ** -4
+        kw = dict(box=box, h=h, side_exponents=(-1, 0))
+        f = random_atomic_family(3, 4, **kw)
+        lambdas, atoms = family_draws(3, 4, **kw)
+        assert np.all(np.abs(f.samples) <= envelope(lambdas, atoms, box, h).samples)
+        assert all(a.values.sup_norm() == 1.0 for a in atoms)
+        # the margin is a quarter of the box side on both axes
+        pts = support_coords(f)
+        assert pts.size
+        assert np.all(pts - h / 2 >= -1.0 - 1e-12) and np.all(pts + h / 2 <= 1.0 + 1e-12)
 
 
 class TestHardyEnvelopeControl:
     MOL = Mollifier.dyadic(-3, -1)
     KW = dict(box=((-4.0, 4.0),), h=2.0 ** -6, side_exponents=(-2, 0))
 
-    def ratio(self, s, mol=None):
-        num = hardy_quasinorm(s.realized, 1.0, None, mol or self.MOL)
-        return num / weighted_lp_quasinorm(s.envelope, 1.0)
+    def ratio(self, seed, count, kw, mol=None):
+        f = random_atomic_family(seed, count, **kw)
+        env = envelope(*family_draws(seed, count, **kw), kw["box"], kw["h"])
+        num = hardy_quasinorm(f, 1.0, None, mol or self.MOL)
+        return num / weighted_lp_quasinorm(env, 1.0)
 
     def test_stable_across_seeds(self):
         # families of 24 atoms give the averaging the band presumes; tiny
         # families fluctuate well past it
-        ratios = [self.ratio(random_atomic_family(seed, 24, **self.KW))
-                  for seed in range(5)]
+        ratios = [self.ratio(seed, 24, self.KW) for seed in range(5)]
         assert max(ratios) <= 1.5 * min(ratios)
 
     def test_exact_under_joint_dilation(self):
+        kw2 = dict(box=((-8.0, 8.0),), h=2.0 ** -5, side_exponents=(-1, 1))
         s1 = random_atomic_family(5, 6, **self.KW)
-        s2 = random_atomic_family(5, 6, box=((-8.0, 8.0),), h=2.0 ** -5,
-                                  side_exponents=(-1, 1))
-        assert np.array_equal(s2.realized.samples, s1.realized.samples)
-        r1 = self.ratio(s1)
-        r2 = self.ratio(s2, mol=Mollifier.dyadic(-2, 0))
+        s2 = random_atomic_family(5, 6, **kw2)
+        assert np.array_equal(s2.samples, s1.samples)
+        r1 = self.ratio(5, 6, self.KW)
+        r2 = self.ratio(5, 6, kw2, mol=Mollifier.dyadic(-2, 0))
         assert r2 == pytest.approx(r1, rel=1e-13)

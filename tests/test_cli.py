@@ -194,7 +194,12 @@ class TestVerify:
           "exponents": [1.0, 1.0], "grid": {"box": [[-2, 2]], "h": 0.25},
           "corpus": {"seed": 11, "count": 2, "side_exponents": [-3, -1]}},
          "smallest cube side has too few cells for the order"),
-    ], ids=["star-sum-weight-on-cell-center", "frac-hardy-side-below-order"])
+        # a spacing longer than the box tiles it with no cell; refused when
+        # the config is parsed, not by the weight family the run builds
+        (dict(STAR, grid={"box": [[-2, 2]], "h": 1e10}),
+         "config field 'grid.box[0]': axis length is not a multiple of h"),
+    ], ids=["star-sum-weight-on-cell-center", "frac-hardy-side-below-order",
+            "star-sum-spacing-beyond-box"])
     def test_library_precondition_exits_two(self, tmp_path, capsys,
                                             payload, message):
         cfg = write_config(tmp_path, payload)

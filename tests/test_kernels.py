@@ -286,10 +286,6 @@ class TestSmoothnessCheck:
         r = kernel_smoothness_check(ks(1, 2, 1.0), 2, 100)
         assert math.isfinite(r) and r > 0
 
-    def test_step_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_smoothness_check(ks(1, 1, 0.5), 1, 100, fd_step=0.5, min_t=1e-2)
-
 
 class TestTaylor:
     def test_zeroth_coefficient_is_kernel_value(self):

@@ -63,9 +63,8 @@ class TestWeightBasics:
     def test_power_average_matches_quadrature_off_singularity(self):
         w = Weight.power(0.5, center=(0.25,), multiplier=2.0)
         q = Cube((3.0,), 0.5)
-        g = GridFunction.from_callable(
-            ((2.75, 3.25),), 2.0 ** -10, lambda x: 2.0 * np.abs(x - 0.25) ** 0.5
-        )
+        g = GridFunction.zeros(((2.75, 3.25),), 2.0 ** -10)
+        g = g.with_samples(2.0 * np.abs(g.coords()[..., 0] - 0.25) ** 0.5)
         assert w.average(q) == pytest.approx(integrate(g) / q.volume, rel=1e-7)
 
     def test_pow_composes(self):
@@ -99,10 +98,8 @@ class TestRect2D:
         w = Weight.power(-0.5, center=(0.0, 0.0))
         q = Cube((0.0, 0.0), 1.0)
         h = 2.0 ** -9
-        g = GridFunction.from_callable(
-            ((-0.5, 0.5), (-0.5, 0.5)), h,
-            lambda x, y: (x * x + y * y) ** -0.25,
-        )
+        g = GridFunction.zeros(((-0.5, 0.5), (-0.5, 0.5)), h)
+        g = g.with_samples(np.sum(g.coords() ** 2, axis=-1) ** -0.25)
         assert w.average(q) == pytest.approx(integrate(g), rel=2e-3)
 
     def test_far_rect_deep_negative_power(self):
@@ -110,10 +107,8 @@ class TestRect2D:
         w = Weight.power(-1.0, center=(0.0, 0.0))
         q = Cube((2.5, 1.5), 1.0)
         h = 2.0 ** -8
-        g = GridFunction.from_callable(
-            ((2.0, 3.0), (1.0, 2.0)), h,
-            lambda x, y: (x * x + y * y) ** -1.5,
-        )
+        g = GridFunction.zeros(((2.0, 3.0), (1.0, 2.0)), h)
+        g = g.with_samples(np.sum(g.coords() ** 2, axis=-1) ** -1.5)
         assert w.average(q, power=3.0) == pytest.approx(integrate(g), rel=1e-5)
 
     def test_touching_origin_deep_negative_power_infinite(self):
@@ -228,7 +223,8 @@ class TestRhConstant:
 
     def test_gentle_sampled_profile(self):
         h = 2.0 ** -4
-        g = GridFunction.from_callable(WINDOW, h, lambda x: 1.0 + 0.1 * np.sin(x))
+        g = GridFunction.zeros(WINDOW, h)
+        g = g.with_samples(1.0 + 0.1 * np.sin(g.coords()[..., 0]))
         fam = weight_cube_family(WINDOW, 0, 2, h=h)
         rep = rh_constant(Weight.sampled(g), 2.0, fam)
         assert 1.0 <= rep.value <= 1.01
