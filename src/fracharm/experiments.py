@@ -832,7 +832,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
                     for u, v in ((0.25, 0.5), (0.5, 0.75), (1.0, 1.0))
                 ]
                 monotone_flags.append(
-                    all(b >= a * (1.0 - 1e-7) for a, b in zip(ladder, ladder[1:])))
+                    all(b >= a * (1.0 - 1e-12) for a, b in zip(ladder, ladder[1:])))
         return rows
 
     return _ratio_report("var-frac-hardy", cfg, one_trial, lambda: {

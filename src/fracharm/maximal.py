@@ -21,6 +21,7 @@ count lands on the ladder (powers of two always do).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -186,11 +187,22 @@ class Mollifier:
         return cls(tuple(2.0 ** j for j in range(j_min, j_max + 1)))
 
     def kernel(self, t: float, h: float, dim: int) -> np.ndarray:
-        m = int(math.floor(t / h + 1e-9))
-        off = np.arange(-m, m + 1) * (h / t)
-        r2 = sum(np.ix_(*[off ** 2] * dim))
-        prof = np.clip(1.0 - r2, 0.0, None) ** 4
-        return prof / (prof.sum() * h ** dim)
+        """The read-only bump at scale t on a grid of step h.  It depends on
+        (t, h, dim) only, so each is built once and shared by every trial."""
+        return _bump(t, h, dim)
+
+
+# a run sweeps about 7 grid steps with about 10 scales each; the bound keeps
+# every pair of a run cached, so a trial loop never cycles through misses
+@functools.lru_cache(maxsize=256)
+def _bump(t: float, h: float, dim: int) -> np.ndarray:
+    m = int(math.floor(t / h + 1e-9))
+    off = np.arange(-m, m + 1) * (h / t)
+    r2 = sum(np.ix_(*[off ** 2] * dim))
+    prof = np.clip(1.0 - r2, 0.0, None) ** 4
+    ker = prof / (prof.sum() * h ** dim)
+    ker.flags.writeable = False
+    return ker
 
 
 def _support_margin_cells(f: GridFunction) -> int:

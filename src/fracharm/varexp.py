@@ -2,8 +2,12 @@
 
 An exponent function carries a pointwise evaluator together with recorded
 essential bounds; all derived exponents propagate conservative bounds through
-interval arithmetic.  The Luxemburg norm inverts the modular by bisection,
-which is cheap because the modular is a single vectorized power per probe.
+interval arithmetic.  The Luxemburg norm is the closed form
+(h^n sum |f|^p)^(1/p) where the sampled exponent is one value p on the
+support of f.  Otherwise it is Newton's method on the logarithm of the
+modular as a function of log lambda, which is convex and decreasing; it
+stops when the modular of f/lambda is within 1e-12 of 1, and each step
+costs one exp per cell.
 
 ``derive_system`` builds the full family of exponents used to transfer a
 weighted-norm inequality to variable-exponent targets: slot splits of the
@@ -138,42 +142,66 @@ def modular(f: GridFunction, p: ExponentFunction) -> float:
     return float(np.sum(np.abs(f.samples) ** pex) * f.cell_volume)
 
 
+_NEWTON_TOL = 2.0 ** -46      # |log modular| at which Newton stops
+_NEWTON_MAX_ITER = 64
+
+
 def luxemburg_norm(f: GridFunction, p: ExponentFunction) -> float:
-    """inf over lam of modular(f/lam) <= 1, by bisection on a power-of-two
-    bracket; the returned value puts the modular within 1e-6 of 1."""
+    """inf over lam of modular(f/lam) <= 1.
+
+    |f| is first scaled by 2^-e, with e the binary exponent of max|f|, and
+    the result scaled back by 2^e; both scalings are exact, so subnormal and
+    huge samples need no bracket.  Where the sampled exponent is one value p
+    on the support, the norm is the closed form (h^n sum |f|^p)^(1/p).
+    Otherwise Newton's method solves g(l) = log modular(f/e^l) = 0.  g is a
+    log-sum-exp of affine functions of l, so it is convex and decreasing
+    with slope between -p_+ and -p_-: every Newton step lands at or left of
+    the root, and from there the steps climb to it monotonically.  It stops at
+    |g| <= 2^-46, which puts modular(f/lam) within 1e-12 of 1.  ValueError if
+    Newton has not stopped after 64 steps or the norm is not a positive
+    finite float.
+    """
     if f.dim != p.dim:
         raise ValueError("grid and exponent dimensions differ")
     absf = np.abs(f.samples)
-    if not np.any(absf):
+    if not np.all(np.isfinite(absf)):
+        raise ValueError("samples must be finite")
+    support = absf > 0
+    if not np.any(support):
         return 0.0
-    pex = p.evaluate(f.coords())
-    vol = f.cell_volume
-
-    def rho(lam: float) -> float:
-        return float(np.sum((absf / lam) ** pex) * vol)
-
-    hi = 1.0
-    for _ in range(4096):
-        if rho(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("modular bracket failed to close from above")
-    lo = hi / 2.0
-    for _ in range(4096):
-        if rho(lo) > 1.0:
-            break
-        hi = lo
-        lo /= 2.0
-    else:
-        raise ValueError("modular bracket failed to close from below")
-    while hi - lo > 1e-8 * hi:
-        mid = 0.5 * (lo + hi)
-        if rho(mid) > 1.0:
-            lo = mid
+    _, e = np.frexp(np.max(absf))
+    a = np.ldexp(absf[support], -e)
+    pex = p.evaluate(f.coords())[support]
+    try:
+        if np.all(pex == pex[0]):
+            p0 = float(pex[0])
+            root = float(np.sum(a ** p0) * f.cell_volume) ** (1.0 / p0)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            root = math.exp(_newton_log_norm(np.log(a), pex,
+                                             math.log(f.cell_volume)))
+        lam = math.ldexp(root, int(e))
+    except OverflowError:
+        lam = math.inf
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"Luxemburg norm {lam} is not a positive finite float")
+    return lam
+
+
+def _newton_log_norm(log_a, pex, log_vol: float) -> float:
+    """The root l of log(vol * sum exp(p * (log_a - l))) by Newton from 0,
+    each step one exp per cell, shifted by the largest exponent."""
+    ell = 0.0
+    for _ in range(_NEWTON_MAX_ITER):
+        s = pex * (log_a - ell)
+        top = float(np.max(s))
+        w = np.exp(s - top)
+        total = float(np.sum(w))
+        g = log_vol + top + math.log(total)
+        if abs(g) <= _NEWTON_TOL:
+            return ell
+        ell += g * total / float(np.sum(pex * w))
+    raise ValueError(
+        f"Luxemburg norm: Newton did not converge in {_NEWTON_MAX_ITER} steps")
 
 
 # -- log-Hoelder diagnostics ------------------------------------------------------
@@ -559,8 +587,9 @@ def dual_witness(f: GridFunction, qbar: ExponentFunction) -> GridFunction:
     """Unit-norm function in the dual Luxemburg space that nearly norms f.
 
     Returns h = c * (f/|f|_qbar)^(qbar(x)-1) with c fixed by the dual
-    Luxemburg norm itself (its bisection plays the role of the normalizing
-    search); the pairing with f recovers at least half the norm of f.
+    Luxemburg norm itself (its Newton solve plays the role of the
+    normalizing search); the pairing with f recovers at least half the norm
+    of f.
     """
     if np.any(f.samples < 0):
         raise ValueError("witness construction expects a nonnegative input")

@@ -33,8 +33,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ORACLE_REL_TOL = 1e-2          # closed-form operator values
 ORACLE_CAP_S = 30.0
-LUX_MATCH_TOL = 1e-6           # Luxemburg vs closed-form Lp
-MODULAR_BAND = 1e-5            # modular at the normalized function
+LUX_MATCH_TOL = 1e-12          # Luxemburg vs closed-form Lp
+MODULAR_BAND = 1e-12           # modular at the normalized function
 LUX_CAP_S = 10.0
 THETA_TOL = 1e-12              # pointwise partition-of-unity residual
 SYSTEMS_CAP_S = 5.0
@@ -46,7 +46,7 @@ STAR_TAIL_CAP_S = 300.0
 SINGLE_ATOM_DRIFT_TOL = 5e-2   # dilation invariance of one-atom ratios
 ATOMIC_CAP_S = 900.0
 TARGET_SUM_TOL = 1e-10
-DEGENERATION_TOL = 1e-6        # variable-exponent run at constant exponents
+DEGENERATION_TOL = 1e-12       # variable-exponent run at constant exponents
 VAR_CAP_S = 1200.0
 DIAG_DRIFT_TOL = 0.10
 ANNULI_DRIFT_TOL = 0.02

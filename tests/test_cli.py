@@ -23,6 +23,18 @@ STAR = {
 }
 
 
+def run_module(*argv, timeout):
+    """``python -m fracharm.cli ARGV`` in a child process, killed after
+    ``timeout`` seconds, so a hang fails the test instead of the suite."""
+    env = dict(os.environ)
+    src = str(Path(fracharm.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fracharm.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
 def write_config(tmp_path, payload, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -248,6 +260,21 @@ class TestNorm:
 
     def test_missing_file(self, tmp_path):
         assert cli_main(["norm", str(tmp_path / "nope.csv"), "--p", "2"]) == 2
+
+    def test_subnormal_variable_exponent_returns(self, tmp_path):
+        # a bracket that halves toward 1e-320 underflows and never closes;
+        # the norm must come back positive and finite within seconds
+        path = self.samples(tmp_path, [1e-320, 0.0])
+        res = run_module("norm", path, "--p-limit", "1.5", "--p-amplitude",
+                         "1.0", "--h", "0.25", timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert 0.0 < float(res.stdout) < math.inf
+
+    def test_overflowing_variable_exponent_exits_two(self, tmp_path, capsys):
+        path = self.samples(tmp_path, [1e300, 1e300])
+        assert cli_main(["norm", path, "--p-limit", "0.1", "--p-amplitude",
+                         "1.0", "--h", "1e10"]) == 2
+        assert "not a positive finite float" in capsys.readouterr().err
 
 
 class TestWeightConst:
@@ -522,12 +549,6 @@ class TestMisc:
         assert cli_main(["verify"]) == 2
 
     def test_module_entry_point(self):
-        env = dict(os.environ)
-        src = str(Path(fracharm.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        res = subprocess.run([sys.executable, "-m", "fracharm.cli", "list"],
-                             capture_output=True, text=True, env=env,
-                             timeout=120)
+        res = run_module("list", timeout=120)
         assert res.returncode == 0, res.stderr
         assert "frac-hardy" in res.stdout

@@ -16,6 +16,7 @@ from fracharm.experiments import (
 )
 from fracharm.grid import Cube, GridFunction
 from fracharm.kernels import KenigSteinKernel, apply_frac_operator
+from fracharm.maximal import _bump
 from fracharm.weights import Weight
 
 
@@ -144,6 +145,24 @@ def test_weight_samples_shared_by_trials(cfg, monkeypatch):
                             corpus=corpus))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    WEIGHTED_RUNS[3],
+    dict(experiment="var-frac-hardy", m=2, gamma=0.5,
+         exponents=[{"kind": "log-decay", "limit": 1.5, "amplitude": 0.5}] * 2,
+         grid={"box": [[-2, 2]], "h": 0.03125},
+         corpus={"seed": 11, "count": 2, "side_exponents": [-3, -1]},
+         sweep=small_sweep()),
+], ids=lambda d: d["experiment"])
+def test_mollifier_bumps_shared_by_trials(cfg):
+    # each (scale, grid step) bump is built once per run, not once per trial
+    builds = []
+    for count in (2, 4):
+        _bump.cache_clear()
+        run_experiment(make(cfg, corpus=dict(cfg["corpus"], count=count)))
+        builds.append(_bump.cache_info().misses)
+    assert builds[0] == builds[1] > 0
 
 
 class TestTailSum:
@@ -372,7 +391,7 @@ class TestVarFracHardy:
                                 corpus=corpus, sweep=small_sweep()))
         for ra, rb in zip(a.rows, b.rows):
             assert (ra.trial, ra.scale_k) == (rb.trial, rb.scale_k)
-            assert rb.ratio == pytest.approx(ra.ratio, rel=1e-6)
+            assert rb.ratio == pytest.approx(ra.ratio, rel=1e-12)
 
     def test_no_room_rejected(self):
         with pytest.raises(HypothesisError, match="gamma/n"):

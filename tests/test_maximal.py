@@ -275,6 +275,28 @@ class TestGrandMaximal:
         assert np.max(g.samples) <= 1 + 1e-12
 
 
+def fresh_bump(t, h, dim):
+    """The sampled (1 - |x|^2)^4 bump at scale t, normalized to unit mass."""
+    m = int(math.floor(t / h + 1e-9))
+    off = np.arange(-m, m + 1) * (h / t)
+    r2 = sum(np.ix_(*[off ** 2] * dim))
+    prof = np.clip(1.0 - r2, 0.0, None) ** 4
+    return prof / (prof.sum() * h ** dim)
+
+
+class TestMollifierKernel:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cached_bump_is_shared_read_only_and_exact(self, dim):
+        mol = Mollifier.dyadic(-4, 0)
+        for t in mol.scales:
+            ker = mol.kernel(t, 2.0 ** -5, dim)
+            assert ker is mol.kernel(t, 2.0 ** -5, dim)
+            assert not ker.flags.writeable
+            assert np.array_equal(ker, fresh_bump(t, 2.0 ** -5, dim))
+            with pytest.raises(ValueError):
+                ker[(0,) * dim] = 1.0
+
+
 def domination_ratios(cube, gamma, delta, box=BOX):
     """Worst side^gamma / M_{gamma*delta}(chi_Q)^(1/delta) on the star of Q
     and on Q itself."""

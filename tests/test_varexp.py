@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracharm.varexp
 from fracharm.grid import Cube, GridFunction, weighted_lp_quasinorm
 from fracharm.maximal import iterated_maximal
 from fracharm.varexp import (
@@ -17,6 +18,7 @@ from fracharm.varexp import (
     modular,
     rubio_iterate,
     rubio_properties_check,
+    target_exponent,
 )
 
 BOX = ((-8.0, 8.0),)
@@ -119,7 +121,7 @@ class TestLuxemburgNorm:
     def test_indicator_constant_exponent(self):
         chi = Cube((2.0,), 4.0).indicator(BOX, H)
         val = luxemburg_norm(chi, ExponentFunction.constant(2.0))
-        assert val == pytest.approx(2.0, rel=1e-6)
+        assert val == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_constant_exponent_norms(self):
         worst = 0.0
@@ -130,7 +132,7 @@ class TestLuxemburgNorm:
             a = luxemburg_norm(f, ExponentFunction.constant(p))
             b = weighted_lp_quasinorm(f, p)
             worst = max(worst, abs(a - b) / b)
-        assert worst <= 1e-6
+        assert worst <= 1e-12
 
     @settings(max_examples=15, deadline=None)
     @given(c=st.floats(min_value=0.05, max_value=40.0))
@@ -138,21 +140,109 @@ class TestLuxemburgNorm:
         p = ExponentFunction.log_decay(2.0, 1.0)
         f = uniform_profile(7)
         base = luxemburg_norm(f, p)
-        assert luxemburg_norm(f * c, p) == pytest.approx(c * base, rel=1e-6)
+        assert luxemburg_norm(f * c, p) == pytest.approx(c * base, rel=1e-12)
 
     def test_variable_indicator_has_unit_norm(self):
         # modular of chi_[0,1] is 1 for every exponent, so the norm is 1
         p = ExponentFunction(
             "derived", 1, 2.0, 3.0, lambda x: 2.0 + np.clip(x[..., 0], 0.0, 1.0))
         chi = Cube((0.5,), 1.0).indicator(BOX, 2.0 ** -8)
-        assert luxemburg_norm(chi, p) == pytest.approx(1.0, rel=1e-6)
+        assert luxemburg_norm(chi, p) == pytest.approx(1.0, rel=1e-12)
 
     def test_modular_of_normalized_function_is_one(self):
         p = ExponentFunction.log_decay(2.0, 1.0)
         for seed in range(5):
             f = uniform_profile(seed)
             lam = luxemburg_norm(f, p)
-            assert modular(f * (1.0 / lam), p) == pytest.approx(1.0, abs=1e-5)
+            assert modular(f * (1.0 / lam), p) == pytest.approx(1.0, abs=1e-12)
+
+
+BOX_2D = ((-2.0, 2.0), (-2.0, 2.0))
+
+# exponents of every kind the runs hand to luxemburg_norm, p_- < 1 included
+NEWTON_EXPONENTS = {
+    "constant": ExponentFunction.constant(1.7),
+    "log-decay": ExponentFunction.log_decay(2.0, 1.0),
+    "p-minus-below-one": ExponentFunction.log_decay(0.4, 0.5),
+    "wide-band": ExponentFunction.log_decay(0.1, 30.0),
+    "derived": target_exponent([ExponentFunction.log_decay(1.5, 1.0),
+                                ExponentFunction.log_decay(2.0, 0.5)], 0.5),
+    "derived-constant": target_exponent([ExponentFunction.constant(2.0)] * 2,
+                                        0.5),
+    "2-D": ExponentFunction.log_decay(1.5, 1.0, dim=2),
+}
+
+
+def sparse_profile(seed, dim):
+    """Samples in [1/4, 2] on a random third of the cells, zero elsewhere;
+    every value stays a normal float under any scaling by 2^k, |k| <= 1000."""
+    box, h = (BOX_2D, 2.0 ** -3) if dim == 2 else (BOX, H)
+    g = GridFunction.zeros(box, h)
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.25, 2.0, size=g.samples.shape)
+    return g.with_samples(vals * (rng.random(g.samples.shape) < 1.0 / 3.0))
+
+
+class TestLuxemburgNewton:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(NEWTON_EXPONENTS)),
+           k=st.integers(min_value=-1000, max_value=1000),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_modular_residual_and_exact_dyadic_scaling(self, name, k, seed):
+        p = NEWTON_EXPONENTS[name]
+        f = sparse_profile(seed, p.dim)
+        base = luxemburg_norm(f, p)
+        assert base > 0
+        rho = modular(f.with_samples(f.samples / base), p)
+        assert abs(rho - 1.0) <= 1e-12
+        scaled = f.with_samples(np.ldexp(f.samples, k))
+        lam = luxemburg_norm(scaled, p)
+        assert lam == math.ldexp(base, k)
+        if lam >= np.finfo(float).tiny:
+            rho = modular(scaled.with_samples(scaled.samples / lam), p)
+            assert abs(rho - 1.0) <= 1e-12
+
+    def test_constant_on_the_support_takes_the_closed_form(self):
+        # target_exponent of constants is a derived exponent; the test is on
+        # the sampled values, so it gets the constant's closed form bit for bit
+        f = sparse_profile(3, 1)
+        derived = NEWTON_EXPONENTS["derived-constant"]
+        assert derived.kind == "derived"
+        assert (luxemburg_norm(f, derived)
+                == luxemburg_norm(f, ExponentFunction.constant(2.0)))
+        # a variable exponent that is constant where f lives is closed form too
+        step = ExponentFunction(
+            "derived", 1, 1.5, 3.0, lambda x: np.where(x[..., 0] < 0, 1.5, 3.0))
+        g = f.with_samples(f.samples * (f.coords()[..., 0] < 0))
+        assert (luxemburg_norm(g, step)
+                == luxemburg_norm(g, ExponentFunction.constant(1.5)))
+
+    def test_subnormal_samples(self):
+        f = GridFunction(((0.0, 0.5),), 0.25, np.array([1e-320, 0.0]))
+        p = ExponentFunction.log_decay(1.5, 1.0)
+        lam = luxemburg_norm(f, p)
+        p0 = float(p.evaluate(np.array([[0.125]]))[0])
+        assert lam == pytest.approx(1e-320 * 0.25 ** (1.0 / p0), rel=1e-3)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fracharm.varexp, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            luxemburg_norm(uniform_profile(0), NEWTON_EXPONENTS["log-decay"])
+
+    def test_nan_exponent_does_not_converge(self):
+        p = ExponentFunction("derived", 1, 1.0, 2.0,
+                             lambda x: np.where(x[..., 0] < 0, np.nan, 2.0))
+        with pytest.raises(ValueError, match="did not converge"):
+            luxemburg_norm(uniform_profile(0), p)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        f = uniform_profile(0)
+        samples = f.samples.copy()
+        samples[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            luxemburg_norm(f.with_samples(samples),
+                           NEWTON_EXPONENTS["log-decay"])
 
 
 class TestLogHolderEstimate:
