@@ -10,8 +10,10 @@ report byte-identical leaves both digests unchanged.
     python3 scripts/byte_oracle.py    # about 60 s on 2 CPUs
 
 The verdict line of each config goes to standard error, followed by the
-wall time in seconds of its ``cli_main`` call alone (trials serial); the
-time is not part of any digest.  A fresh interpreter per config keeps each
+wall time in seconds of its ``cli_main`` call alone (trials serial) and the
+first 16 hex digits of the sha256 over that config's report and trials
+CSV, so a change that moves numbers on purpose names the configs it moved;
+the time is not part of any digest.  A fresh interpreter per config keeps each
 time free of what earlier configs left in the process: imports, caches and
 allocator state.  Exits 1 if any config fails to verify.
 """
@@ -50,6 +52,15 @@ def _digest(out: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
+def _config_digest(out: Path) -> str:
+    """First 16 hex digits of the sha256 over the files of one config's
+    output directory (report, then trials CSV), in name order."""
+    digest = hashlib.sha256()
+    for f in sorted(out.glob("*")):
+        digest.update(f.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def _run_group(configs, out: Path) -> bool:
     ok = True
     for path in configs:
@@ -60,8 +71,8 @@ def _run_group(configs, out: Path) -> bool:
             capture_output=True, text=True)
         sys.stderr.write(proc.stderr)
         *verdict, wall = proc.stdout.splitlines() or ["nan"]
-        print(f"{path.name}: {' '.join(verdict)} [{float(wall):.3f} s]",
-              file=sys.stderr)
+        print(f"{path.name}: {' '.join(verdict)} [{float(wall):.3f} s] "
+              f"{_config_digest(out / path.stem)}", file=sys.stderr)
         ok = ok and proc.returncode == 0
     return ok
 

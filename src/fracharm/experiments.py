@@ -9,7 +9,7 @@ than a resolution artifact.
 No run gates resolution: only the unit tests
 ``tests/test_experiments.py::TestStarSum::test_halving_h_stable`` and
 ``::TestTailSum::test_halving_h_stable`` halve h and compare max ratios
-(ROADMAP item 5b plans a run-time gate).
+(ROADMAP item 3(c) plans a run-time gate).
 
 Hypothesis checks (exponent relations, weight-constant stability, decay
 thresholds) always run before any heavy computation and raise a
@@ -595,50 +595,6 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
 # -- the fractional operator on weighted Hardy products ----------------------------
 
 
-def _hardy_exponent_setup(cfg: ExperimentConfig):
-    """Resolve (p_i), p, q, (q_i), gamma split, weights, and moment order."""
-    m, n, gamma = _slots(cfg)
-    ps = tuple(e.p_minus for e in cfg.exponents)
-    inv_p = sum(1.0 / v for v in ps)
-    if cfg.p is not None:
-        _require(abs(1.0 / cfg.p - inv_p) <= 1e-12,
-                 "p must satisfy 1/p = sum(1/p_i)")
-    inv_q = _inv_target(cfg, ps, gamma, n)
-    q = 1.0 / inv_q
-    p = 1.0 / inv_p
-
-    if cfg.target_exponents is not None:
-        _require(len(cfg.target_exponents) == m, "need one target exponent per slot")
-        qs = tuple(cfg.target_exponents)
-        _require(abs(sum(1.0 / v for v in qs) - inv_q) <= 1e-10,
-                 "target exponents must satisfy sum(1/q_i) = 1/q")
-        _require(all(qi > pi for qi, pi in zip(qs, ps)),
-                 "each q_i must exceed its p_i")
-    else:
-        qs = tuple((q / p) * pi for pi in ps)
-
-    weights = cfg.weights or tuple(Weight.constant(1.0, dim=n) for _ in range(m))
-    _require(len(weights) == m, "need one weight per slot")
-    family = _weight_family(cfg.box, cfg.h)
-    rh_reports = []
-    for i, (wi, pi, qi) in enumerate(zip(weights, ps, qs)):
-        rep = rh_constant(wi, qi / pi, family)
-        _require(rep.stable,
-                 f"weight {i} fails reverse-Hoelder stability at order q_i/p_i")
-        rh_reports.append(rep)
-
-    p_grid = (1.0625, 1.125, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
-    rws = [rw_estimate(wi, family, p_grid) for wi in weights]
-    _require(all(math.isfinite(v) for v in rws),
-             "a weight has no stable Muckenhoupt constant on the probe grid")
-    need = max(m * n * (rv / pi - 1.0) for rv, pi in zip(rws, ps))
-    N = max(1, int(math.floor(need)) + 1 if need >= 0 else 1)
-
-    gsplit = [n * (1.0 / pi - 1.0 / qi) for pi, qi in zip(ps, qs)]
-    gsplit[-1] = gamma - sum(gsplit[:-1])  # kill rounding in the sum
-    return ps, p, q, qs, tuple(gsplit), tuple(weights), rh_reports, rws, N
-
-
 def _atomic_slots(cfg: ExperimentConfig, t: int, m: int, N: int):
     fams = []
     for i in range(m):
@@ -698,8 +654,45 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     """||T(f_1..f_m)||_{L^q(wbar)} against prod_i ||f_i||_{H^{p_i}(w_i)} over
     atomic corpora, with the pointwise product-bound and Taylor-remainder
     diagnostics run on a sampled side corpus."""
-    (ps, p, q, qs, gsplit, weights, rh_reports, rws, N) = _hardy_exponent_setup(cfg)
-    m, n, gamma = cfg.m, cfg.n, cfg.gamma
+    m, n, gamma = _slots(cfg)
+    ps = tuple(e.p_minus for e in cfg.exponents)
+    inv_p = sum(1.0 / v for v in ps)
+    if cfg.p is not None:
+        _require(abs(1.0 / cfg.p - inv_p) <= 1e-12,
+                 "p must satisfy 1/p = sum(1/p_i)")
+    inv_q = _inv_target(cfg, ps, gamma, n)
+    q = 1.0 / inv_q
+    p = 1.0 / inv_p
+
+    if cfg.target_exponents is not None:
+        _require(len(cfg.target_exponents) == m, "need one target exponent per slot")
+        qs = tuple(cfg.target_exponents)
+        _require(abs(sum(1.0 / v for v in qs) - inv_q) <= 1e-10,
+                 "target exponents must satisfy sum(1/q_i) = 1/q")
+        _require(all(qi > pi for qi, pi in zip(qs, ps)),
+                 "each q_i must exceed its p_i")
+    else:
+        qs = tuple((q / p) * pi for pi in ps)
+
+    weights = cfg.weights or tuple(Weight.constant(1.0, dim=n) for _ in range(m))
+    _require(len(weights) == m, "need one weight per slot")
+    family = _weight_family(cfg.box, cfg.h)
+    rh_reports = []
+    for i, (wi, pi, qi) in enumerate(zip(weights, ps, qs)):
+        rep = rh_constant(wi, qi / pi, family)
+        _require(rep.stable,
+                 f"weight {i} fails reverse-Hoelder stability at order q_i/p_i")
+        rh_reports.append(rep)
+
+    p_grid = (1.0625, 1.125, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+    rws = [rw_estimate(wi, family, p_grid) for wi in weights]
+    _require(all(math.isfinite(v) for v in rws),
+             "a weight has no stable Muckenhoupt constant on the probe grid")
+    need = max(m * n * (rv / pi - 1.0) for rv, pi in zip(rws, ps))
+    N = max(1, int(math.floor(need)) + 1 if need >= 0 else 1)
+
+    gsplit = [n * (1.0 / pi - 1.0 / qi) for pi, qi in zip(ps, qs)]
+    gsplit[-1] = gamma - sum(gsplit[:-1])  # kill rounding in the sum
     kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
     wbar = _weight_grids(cfg, *((wi, q / pi) for wi, pi in zip(weights, ps)))
     w_slots = [_weight_grids(cfg, (wi, 1.0)) for wi in weights]

@@ -266,17 +266,31 @@ def integrate(f: GridFunction) -> float:
     return float(f.cell_volume * np.sum(f.samples))
 
 
+# the smallest normal float: an integral of |f|^p below it has lost digits
+_TINY = np.finfo(float).tiny
+
+
 def weighted_lp_quasinorm(f: GridFunction, p: float, w: GridFunction | None = None) -> float:
-    """``(integral of |f|^p w)^(1/p)`` for any p > 0; w omitted means w == 1."""
+    """``(integral of |f|^p w)^(1/p)`` for any p > 0; w omitted means w == 1.
+    An integral that underflows is taken again on |f| 2^-e, 2^e the binade
+    of max |f|, and the root scaled back: both scalings are exact."""
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    fp = np.abs(f.samples) ** p
     if w is not None:
         f._require_same_grid(w)
         if np.any(w.samples < 0):
             raise ValueError("weight samples must be nonnegative")
-        fp = fp * w.samples
-    return float((f.cell_volume * np.sum(fp)) ** (1.0 / p))
+
+    def integral(a):
+        fp = a ** p
+        return f.cell_volume * np.sum(fp if w is None else fp * w.samples)
+
+    a = np.abs(f.samples)
+    total = integral(a)
+    if total < _TINY and np.any(a):
+        e = int(np.frexp(np.max(a))[1])
+        return float(np.ldexp(integral(np.ldexp(a, -e)) ** (1.0 / p), e))
+    return float(total ** (1.0 / p))
 
 
 # -- dyadic families ----------------------------------------------------------

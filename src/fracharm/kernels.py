@@ -2,10 +2,10 @@
 
 The model kernel K(x, y_1..y_m) = t^(gamma - mn) is a profile of
 t = sum_i |x - y_i| alone.  The operator applies K against m grid functions
-by midpoint quadrature over input cell-center tuples.  Exactly singular
-tuples (every y_i in the cell of x) are re-integrated once on a 3^(mn)-fold
-subdivision of the cell tuple with the still-singular center dropped; the
-dropped mass is O(h^gamma) because the singularity is integrable.
+by midpoint quadrature over input cell-center tuples; a tuple at t = 0
+carries no mass.  At cell centers (not at points off the grid) the singular
+cell tuple is added back on a 3^(mn)-fold subdivision with the still-singular
+center dropped; the dropped mass is O(h^gamma), the singularity integrable.
 
 On a 1-D grid the midpoint sum is not formed tuple by tuple.  The profile
 is a sum of exponentials, t^(-s) ~ sum_j w_j exp(-u_j t) on [h, m G h]
@@ -220,14 +220,14 @@ def _soe_block(flat, alpha: np.ndarray, w: np.ndarray) -> np.ndarray:
     return v * (w @ acc) + w @ (acc * e) + diag * (w @ e)
 
 
-def _dense_tuple_sum(kernel: KenigSteinKernel, X, cells, flat, sup, on_grid: bool,
-                     sing_cells) -> np.ndarray:
+def _dense_tuple_sum(kernel: KenigSteinKernel, X, cells, flat, sup) -> np.ndarray:
     """The same sum at the points X by the dense (point x tuple) tensor of
-    profile values, chunked over the points."""
+    profile values, chunked over the points.  The profile is not finite at
+    t = 0 (a cell center's singular tuple, or a point on an input center):
+    those tuples are zeroed."""
     out = np.empty(X.shape[0])
     Y = [cells[idx] for idx in sup]
     V = [flat[i][sup[i]] for i in range(kernel.m)]
-    sing_pos = [np.searchsorted(sup[i], sing_cells) for i in range(kernel.m)]
     tuples_per_x = int(np.prod([idx.size for idx in sup]))
     chunk = max(1, (1 << 22) // max(tuples_per_x, 1))
     spec = _EINSUM[kernel.m]
@@ -240,16 +240,7 @@ def _dense_tuple_sum(kernel: KenigSteinKernel, X, cells, flat, sup, on_grid: boo
             t = t[..., None] + D[i].reshape(shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             W = kernel.profile(t)
-        if not on_grid:
-            # off-grid points may collide exactly with an input center;
-            # such zero-measure tuples carry no quadrature mass
-            W[~np.isfinite(W)] = 0.0
-        if on_grid and sing_cells.size:
-            # zero the exactly singular tuples in this chunk
-            inside = (sing_cells >= c0) & (sing_cells < c0 + xb.shape[0])
-            if np.any(inside):
-                locs = tuple(pos[inside] for pos in sing_pos)
-                W[(sing_cells[inside] - c0,) + locs] = 0.0
+        W[~np.isfinite(W)] = 0.0
         out[c0 : c0 + xb.shape[0]] = np.einsum(spec, W, *V, optimize=True)
     return out
 
@@ -279,7 +270,8 @@ def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
     nodes (about 100 to 400) and G cells.  Off-grid points, 2-D grids and a
     profile other than the model's take the dense tensor, whose cost grows
     with the product of slot support sizes, so the multilinearity times
-    dimension is capped at 4.
+    dimension is capped at 4.  Tuples at t = 0 are dropped; only cell
+    centers, not points off the grid, get the subdivision term.
     """
     fs = list(fs)
     if len(fs) != kernel.m:
@@ -304,23 +296,17 @@ def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
     out = np.zeros(X.shape[0])
 
     if all(idx.size for idx in sup):
-        # cells where every slot can collide with x (supports all overlap)
-        sing_cells = sup[0]
-        for i in range(1, kernel.m):
-            sing_cells = np.intersect1d(sing_cells, sup[i])
         if (on_grid and kernel.n == 1
                 and type(kernel).profile is KenigSteinKernel.profile):
             out = _soe_tuple_sum(kernel, flat, h)
         else:
-            out = _dense_tuple_sum(kernel, X, cells, flat, sup, on_grid, sing_cells)
-
-        if on_grid and sing_cells.size:
-            # one-shot subdivision correction at the singular cells
-            s_corr = _subdivision_profile_sum(kernel, h)
-            prods = np.ones(sing_cells.size)
-            for v in flat:
-                prods *= v[sing_cells]
-            out[sing_cells] += s_corr * prods / 3.0 ** mn
+            out = _dense_tuple_sum(kernel, X, cells, flat, sup)
+        if on_grid:
+            # one-shot subdivision correction at the cells where every
+            # slot is nonzero; the product vanishes everywhere else
+            prods = np.prod(flat, axis=0)
+            if np.any(prods):
+                out += _subdivision_profile_sum(kernel, h) * prods / 3.0 ** mn
 
     out *= h ** mn
     if on_grid:
@@ -333,6 +319,10 @@ def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
 
 # the kernel checks draw x and every y_i uniformly from [-2, 2]^n
 _SAMPLE_RADIUS = 2.0
+# configurations kept: t above the first (size), every slot distance above
+# the second (smoothness)
+_SIZE_MIN_T = 1e-3
+_SMOOTHNESS_MIN_T = 1e-2
 
 
 def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
@@ -361,9 +351,9 @@ def _sample_configurations(kernel: KenigSteinKernel, count: int, seed: int,
 
 
 def kernel_size_check(kernel: KenigSteinKernel, sample_count: int = 400, *,
-                      seed: int = 0, min_t: float = 1e-3) -> float:
+                      seed: int = 0) -> float:
     """Max over random off-diagonal configurations of |K| * t^(mn - gamma)."""
-    x, ys, t, _ = _sample_configurations(kernel, sample_count, seed, min_t)
+    x, ys, t, _ = _sample_configurations(kernel, sample_count, seed, _SIZE_MIN_T)
     vals = np.abs(kernel.evaluate(x, ys))
     return float(np.max(vals * _fast_power(t, kernel.m * kernel.n - kernel.gamma)))
 
@@ -407,15 +397,14 @@ def _derivative_sum(kernel: KenigSteinKernel, x, ys, order: int, step):
 
 
 def kernel_smoothness_check(kernel: KenigSteinKernel, order: int, sample_count: int = 200,
-                            *, seed: int = 0, min_t: float = 1e-2) -> float:
-    """Max over samples of (sum of slot derivatives of order N, estimated by
-    central differences) * t^(mn + N - gamma); order 0 is the size check."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order == 0:
-        return kernel_size_check(kernel, sample_count, seed=seed, min_t=min_t)
-    x, ys, t, dmin = _sample_configurations(kernel, sample_count, seed, min_t,
-                                            per_slot=True)
+                            *, seed: int = 0) -> float:
+    """Max over samples of (sum of slot derivatives of order N >= 1,
+    estimated by central differences) * t^(mn + N - gamma); the size
+    constant is ``kernel_size_check``'s."""
+    if order < 1:
+        raise ValueError("smoothness order must be at least 1")
+    x, ys, t, dmin = _sample_configurations(kernel, sample_count, seed,
+                                            _SMOOTHNESS_MIN_T, per_slot=True)
     # the step must clear the nearest slot kink, not just the full diagonal:
     # with m >= 2 a slot can sit much closer to x than t/16
     deriv = _derivative_sum(kernel, x, ys, order, dmin / 16.0)

@@ -270,6 +270,16 @@ class TestNorm:
         assert res.returncode == 0, res.stderr
         assert 0.0 < float(res.stdout) < math.inf
 
+    def test_subnormal_constant_exponent_matches_luxemburg(self, tmp_path, capsys):
+        # |f|^2.5 underflows to 0 on these samples; the Lp norm keeps their
+        # digits and agrees with the Luxemburg norm at the constant exponent
+        path = self.samples(tmp_path, [1e-320, 0.0])
+        assert cli_main(["norm", path, "--p", "2.5", "--h", "0.25"]) == 0
+        lp = float(capsys.readouterr().out)
+        assert cli_main(["norm", path, "--p-limit", "2.5", "--p-amplitude",
+                         "0.0", "--h", "0.25"]) == 0
+        assert lp == float(capsys.readouterr().out) == 5.74e-321
+
     def test_overflowing_variable_exponent_exits_two(self, tmp_path, capsys):
         path = self.samples(tmp_path, [1e300, 1e300])
         assert cli_main(["norm", path, "--p-limit", "0.1", "--p-amplitude",

@@ -196,6 +196,29 @@ class TestNorms:
         rhs = weighted_lp_quasinorm(f, p) ** p + weighted_lp_quasinorm(g, p) ** p
         assert lhs == pytest.approx(rhs)
 
+    def test_subnormal_data_keep_their_digits(self):
+        # 1e-320^2.5 underflows to 0; the integral on |f| 2^-e does not:
+        # (h |f|^p)^(1/p) = 0.25^0.4 * 1e-320
+        f = GridFunction(((0.0, 0.5),), 0.25, np.array([1e-320, 0.0]))
+        assert weighted_lp_quasinorm(f, 2.5) == 5.74e-321
+        # a normal norm of data whose p-th powers underflow: full precision,
+        # and a power-of-two factor comes out exactly
+        g = f.with_samples(np.array([1e-200, 3e-201]))
+        assert weighted_lp_quasinorm(g, 2.5) == pytest.approx(
+            0.25 ** 0.4 * (1.0 + 0.3 ** 2.5) ** 0.4 * 1e-200, rel=1e-15)
+        assert weighted_lp_quasinorm(g * 2.0 ** -100, 2.5) == 2.0 ** -100 * weighted_lp_quasinorm(g, 2.5)
+
+    def test_subnormal_data_with_weight(self):
+        # weight 4 on the one nonzero cell: (0.25 * 4)^(1/p) |f| = |f|
+        f = GridFunction(((0.0, 0.5),), 0.25, np.array([1e-320, 0.0]))
+        w = f.with_samples(np.array([4.0, 0.0]))
+        assert weighted_lp_quasinorm(f, 2.5, w) == 1e-320
+
+    def test_overflow_stays_inf(self):
+        f = GridFunction(((0.0, 0.5),), 0.25, np.array([1e300, 1e300]))
+        with np.errstate(over="ignore"):
+            assert weighted_lp_quasinorm(f, 2.5) == math.inf
+
     def test_rejects_nonpositive_p(self):
         f = GridFunction.zeros(BOX1, H)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -155,10 +156,12 @@ class TestApplyOperator:
 
     def test_overridden_profile_is_applied(self):
         # the sum of exponentials expands the model profile only; a kernel
-        # with its own profile is summed with that profile
+        # with its own profile is summed with that profile, singular tuples
+        # and subdivision term included, as the supports [0, 1) and
+        # [0.5, 1) overlap
         h = 2.0 ** -6
         box = ((-2.0, 2.0),)
-        fs = [Cube((0.5,), 1.0).indicator(box, h), Cube((-0.75,), 0.5).indicator(box, h)]
+        fs = [Cube((0.5,), 1.0).indicator(box, h), Cube((0.75,), 0.5).indicator(box, h)]
         model = apply_frac_operator(ks(2, 1, 1.0), fs)
         scaled = apply_frac_operator(ScaledKernel(m=2, n=1, gamma=1.0), fs)
         assert np.allclose(scaled.samples, 2.5 * model.samples, rtol=1e-12, atol=0)
@@ -245,6 +248,89 @@ class TestFactorizedOperator:
         assert err <= 1e-13
 
 
+def brute_midpoint(kernel, fs, X):
+    """h^(mn) times the sum, over every tuple of cell centres with
+    t = sum_i |x - y_i| > 0, of t^(gamma - mn) prod_i f_i(y_i), at each
+    point x of X, one point at a time with fsum."""
+    m, n, h = kernel.m, kernel.n, fs[0].h
+    e = kernel.gamma - m * n
+    Y = fs[0].coords().reshape(-1, n)
+    vs = [f.samples.reshape(-1) for f in fs]
+    out = []
+    for x in X:
+        d = np.sqrt(np.sum((Y - x) ** 2, axis=-1))
+        T, P = d, vs[0]
+        for v in vs[1:]:
+            T, P = np.add.outer(T, d), np.multiply.outer(P, v)
+        pos = T > 0
+        out.append(math.fsum((T[pos] ** e * P[pos]).ravel()))
+    return np.array(out) * h ** (m * n)
+
+
+def subdivision_term(kernel, fs):
+    """The singular cell tuple once subdivided into 3^(mn) sub-tuples, the
+    still-singular centre dropped, at every cell where all slots are
+    nonzero; zero elsewhere."""
+    m, n, h = kernel.m, kernel.n, fs[0].h
+    offsets = np.array(list(itertools.product((-h / 3, 0.0, h / 3), repeat=m * n)))
+    t = sum(np.sqrt(np.sum(offsets[:, i * n:(i + 1) * n] ** 2, axis=-1))
+            for i in range(m))
+    total = math.fsum(t[t > 0] ** (kernel.gamma - m * n))
+    prods = np.prod([f.samples.reshape(-1) for f in fs], axis=0)
+    return total * prods / 3 ** (m * n) * h ** (m * n)
+
+
+def overlapping_inputs(m, n, seed):
+    """m random grid functions on [-1, 1]^n, h = 1/4 (1-D: 1/16), whose
+    supports overlap in part: each slot's block starts and ends past the
+    previous slot's."""
+    rng = np.random.default_rng(seed)
+    h = 0.25 if n == 2 else 2.0 ** -4
+    box = ((-1.0, 1.0),) * n
+    fs = []
+    for i in range(m):
+        f = GridFunction.zeros(box, h)
+        v = np.zeros_like(f.samples)
+        block = tuple(slice(2 + i, 6 + 2 * i) if n == 2 else slice(8 + 2 * i, 20 + 3 * i)
+                      for _ in range(n))
+        v[block] = rng.standard_normal(v[block].shape)
+        fs.append(f.with_samples(v))
+    return fs
+
+
+class TestZeroDistanceTuples:
+    """Tuples with t = 0 carry no midpoint mass; on the grid the singular
+    cell tuple is added back by one subdivision, off the grid it is not."""
+
+    @pytest.mark.parametrize("m,gamma", [(1, 0.5), (1, 1.0), (2, 0.5), (2, 1.5)])
+    def test_2d_on_grid_overlapping_supports(self, m, gamma):
+        kernel = ks(m, 2, gamma)
+        fs = overlapping_inputs(m, 2, [m, int(10 * gamma)])
+        prods = np.prod([f.samples for f in fs], axis=0)
+        assert np.any(prods) and not np.all(prods)
+        got = apply_frac_operator(kernel, fs).samples.reshape(-1)
+        X = fs[0].coords().reshape(-1, 2)
+        ref = brute_midpoint(kernel, fs, X) + subdivision_term(kernel, fs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m,n,gamma", [(1, 1, 0.5), (2, 1, 1.0),
+                                           (1, 2, 1.0), (2, 2, 1.5)])
+    def test_off_grid_point_on_a_cell_centre(self, m, n, gamma):
+        kernel = ks(m, n, gamma)
+        fs = overlapping_inputs(m, n, [m, n, int(10 * gamma)])
+        cells = fs[0].coords().reshape(-1, n)
+        prods = np.prod([f.samples.reshape(-1) for f in fs], axis=0)
+        # a centre where every slot is nonzero, one where the first slot
+        # alone is, and one between centres
+        X = np.array([cells[np.flatnonzero(prods)[0]],
+                      cells[np.flatnonzero(fs[0].samples.reshape(-1))[0]],
+                      cells[0] + fs[0].h / 3])
+        got = apply_frac_operator(kernel, fs, points=X)
+        ref = brute_midpoint(kernel, fs, X)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestSizeCheck:
     def test_model_kernel_is_one(self):
         for k in (ks(1, 1, 0.5), ks(2, 1, 1.0), ks(1, 2, 1.0), ks(2, 2, 2.5)):
@@ -266,11 +352,10 @@ class TestSmoothnessCheck:
         r = kernel_smoothness_check(ks(1, 1, 0.5), 1)
         assert r == pytest.approx(0.5, rel=0.02)
 
-    def test_order_zero_equals_size_check(self):
-        k = ks(2, 1, 1.0)
-        assert kernel_smoothness_check(k, 0, 300, seed=7) == kernel_size_check(
-            k, 300, seed=7, min_t=1e-2
-        )
+    def test_order_zero_rejected(self):
+        # the size constant has one route, kernel_size_check
+        with pytest.raises(ValueError):
+            kernel_smoothness_check(ks(2, 1, 1.0), 0)
 
     def test_bilinear_second_order_oracle(self):
         # second slot derivatives of t^(-1) sum to 4 t^(-3) in 1D
