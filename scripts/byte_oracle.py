@@ -10,10 +10,12 @@ report byte-identical leaves both digests unchanged.
     python3 scripts/byte_oracle.py    # about 60 s on 2 CPUs
 
 The verdict line of each config goes to standard error, followed by the
-wall time in seconds of its ``cli_main`` call alone (trials serial) and the
-first 16 hex digits of the sha256 over that config's report and trials
-CSV, so a change that moves numbers on purpose names the configs it moved;
-the time is not part of any digest.  A fresh interpreter per config keeps each
+wall time in seconds of the child's ``from fracharm.cli import cli_main``
+and of its ``cli_main`` call alone (trials serial), and the first 16 hex
+digits of the sha256 over that config's report and trials CSV, so a change
+that moves numbers on purpose names the configs it moved, and one that
+makes the package slower to import shows it on every line; the times are
+not part of any digest.  A fresh interpreter per config keeps each
 time free of what earlier configs left in the process: imports, caches and
 allocator state.  Exits 1 if any config fails to verify.
 """
@@ -29,16 +31,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# one verify call, timed around cli_main; the time is its last stdout line
+# one verify call; the import time and the time around cli_main are its
+# last two stdout lines
 _CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
-from fracharm.cli import cli_main
 t0 = time.perf_counter()
+from fracharm.cli import cli_main
+t1 = time.perf_counter()
 try:
     code = cli_main(sys.argv[2:])
 finally:
-    print(time.perf_counter() - t0)
+    print(t1 - t0)
+    print(time.perf_counter() - t1)
 sys.exit(code)
 """
 
@@ -70,8 +75,9 @@ def _run_group(configs, out: Path) -> bool:
              experiment, "--config", str(path), "--out", str(out / path.stem)],
             capture_output=True, text=True)
         sys.stderr.write(proc.stderr)
-        *verdict, wall = proc.stdout.splitlines() or ["nan"]
-        print(f"{path.name}: {' '.join(verdict)} [{float(wall):.3f} s] "
+        *verdict, load, wall = proc.stdout.splitlines() or ["nan", "nan"]
+        print(f"{path.name}: {' '.join(verdict)} "
+              f"[import {float(load):.3f} s, run {float(wall):.3f} s] "
               f"{_config_digest(out / path.stem)}", file=sys.stderr)
         ok = ok and proc.returncode == 0
     return ok

@@ -211,6 +211,15 @@ class GridFunction:
         return tuple(slice(*np.searchsorted(c, (lo, hi)).tolist())
                      for c, lo, hi in zip(self._axes, cube.lo, cube.hi))
 
+    def cell_ranges(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``cells`` for k boxes at once, by the same comparisons: lo and hi
+        are (k, dim) corners, and the result is the first and the
+        one-past-last cell index of each box per axis, two (k, dim) integer
+        arrays."""
+        return tuple(np.stack([np.searchsorted(c, x[:, a]) for a, c in enumerate(self._axes)],
+                              axis=-1)
+                     for x in (lo, hi))
+
     def coords(self) -> np.ndarray:
         """Cell-center coordinates, shape ``samples.shape + (dim,)``."""
         return self._coords
@@ -296,14 +305,30 @@ def weighted_lp_quasinorm(f: GridFunction, p: float, w: GridFunction | None = No
 # -- dyadic families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicFamily:
-    """Grid-aligned dyadic cubes tiling a window at each level j (side 2^j)."""
+    """Cubes of side 2^j, j_min <= j <= j_max, within a window.
+
+    Each level is one (k, n) array of cube centres, ``centres[j - j_min]``.
+    Its first ``tiles[j - j_min]`` rows are the dyadic cubes that tile the
+    window, in product order; any rows after them are translates of those
+    cubes (``weights.weight_cube_family``), grouped by the cube they come
+    from.  The weight constants read the arrays a level at a time, with the
+    float operations of ``Cube``; their powers and logarithms stay Python
+    floats, whose last bit numpy's vectorized ones do not always match (see
+    ``weights``).  ``cubes`` and ``cubes_at`` build ``Cube`` objects on first
+    use: the tiling cubes of every level, then the translates of every level.
+    """
 
     window: tuple[tuple[float, float], ...]
     j_min: int
     j_max: int
-    cubes: tuple[Cube, ...]
+    centres: tuple[np.ndarray, ...]
+    tiles: tuple[int, ...]
+
+    def __post_init__(self):
+        for c in self.centres:
+            c.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -312,8 +337,20 @@ class DyadicFamily:
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    def _level_cubes(self, i: int, rows: slice) -> tuple[Cube, ...]:
+        side = 2.0 ** (self.j_min + i)
+        return tuple(Cube(tuple(c), side) for c in self.centres[i][rows].tolist())
+
+    @cached_property
+    def cubes(self) -> tuple[Cube, ...]:
+        tiling = [self._level_cubes(i, slice(t)) for i, t in enumerate(self.tiles)]
+        shifted = [self._level_cubes(i, slice(t, None)) for i, t in enumerate(self.tiles)]
+        return tuple(itertools.chain(*tiling, *shifted))
+
     def cubes_at(self, j: int) -> tuple[Cube, ...]:
-        return tuple(q for q in self.cubes if q.side == 2.0 ** j)
+        if j not in self.levels():
+            return ()
+        return self._level_cubes(int(j) - self.j_min, slice(None))
 
     def descriptor(self) -> dict:
         return {"window": [list(iv) for iv in self.window],
@@ -342,21 +379,21 @@ def dyadic_cubes(window, j_min: int, j_max: int, h: float | None = None) -> Dyad
         raise ValueError(f"empty level range [{j_min}, {j_max}]")
     if h is not None and 2.0 ** j_min < h:
         raise ValueError(f"level 2^{j_min} is finer than grid spacing h={h}")
-    cubes: list[Cube] = []
+    centres = []
     for j in range(j_min, j_max + 1):
         side = 2.0 ** j
-        counts = []
+        axes = []
         for lo, hi in window:
             cnt = tile_count(hi - lo, side)
             if not cnt:
                 raise ValueError(
                     f"window extent ({lo}, {hi}) is not tiled by side 2^{j}"
                 )
-            counts.append(cnt)
-        for idx in itertools.product(*(range(c) for c in counts)):
-            center = tuple(lo + (i + 0.5) * side for (lo, _), i in zip(window, idx))
-            cubes.append(Cube(center, side))
-    return DyadicFamily(window, j_min, j_max, tuple(cubes))
+            axes.append(lo + (np.arange(cnt) + 0.5) * side)
+        grid = np.meshgrid(*axes, indexing="ij")
+        centres.append(np.stack([g.ravel() for g in grid], axis=-1))
+    return DyadicFamily(window, j_min, j_max, tuple(centres),
+                        tuple(len(c) for c in centres))
 
 
 def multi_indices(dim: int, max_total: int) -> list[tuple[int, ...]]:

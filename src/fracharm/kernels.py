@@ -123,6 +123,8 @@ _SOE_HIGH_EXP = 45.0
 _PREFIX_MAX_EXP = 600.0
 # neighbour terms below e^(-50) of the nearest one are dropped
 _NEGLIGIBLE = math.exp(-50.0)
+# cells per row of the fine exponential table in _soe_block
+_DECAY_SPLIT = 16
 
 
 def _soe_nodes(s: float, h: float, reach: int):
@@ -136,11 +138,12 @@ def _soe_nodes(s: float, h: float, reach: int):
     return np.exp(x), _SOE_STEP * np.exp(s * x) / math.gamma(s)
 
 
-def _exp_smooth(v: np.ndarray, alpha: np.ndarray, decay: np.ndarray) -> np.ndarray:
+def _exp_smooth(v: np.ndarray, alpha: np.ndarray, decay: np.ndarray,
+                out: np.ndarray) -> None:
     """E v(a) = sum over b != a of exp(-alpha_j |a - b|) v_b for the
-    increasing rates alpha_j (in cells), as a (J, G) array, given the table
-    decay[j, d - 1] = exp(-alpha_j d); exact up to rounding and the dropped
-    e^(-50) tail, in O(J G) work.
+    increasing rates alpha_j (in cells), written into the (J, G) array
+    ``out``, given the table decay[j, d - 1] = exp(-alpha_j d); exact up to
+    rounding and the dropped e^(-50) tail, in O(J G) work.
 
     Inside the hull of v's support (S cells), the rates with alpha S below
     600 take prefix sums of e^(alpha b) v_b from either end; past that the
@@ -172,11 +175,9 @@ def _exp_smooth(v: np.ndarray, alpha: np.ndarray, decay: np.ndarray) -> np.ndarr
         right[n_pre : n_pre + n_d, :-d] += col[:n_d, None] * f[d:]
     left *= scale
     right *= scale
-    out = np.empty((alpha.size, v.size))
     np.add(left, right, out=out[:, lo:hi])
     np.multiply(decay[:, :lo][:, ::-1], v[lo] + right[:, :1], out=out[:, :lo])
     np.multiply(decay[:, : v.size - hi], v[hi - 1] + left[:, -1:], out=out[:, hi:])
-    return out
 
 
 def _soe_tuple_sum(kernel: KenigSteinKernel, flat, h: float) -> np.ndarray:
@@ -187,37 +188,50 @@ def _soe_tuple_sum(kernel: KenigSteinKernel, flat, h: float) -> np.ndarray:
     u, w = _soe_nodes(m - kernel.gamma, h, m * G)
     total = np.zeros(G)
     # nodes go in blocks of about 2^15 (node, cell) values, whose (J, G)
-    # temporaries stay in cache; arrays over all nodes cost page faults on
-    # every call
+    # arrays stay in cache.  They live in one workspace that every block of
+    # the call reuses: arrays over all nodes cost page faults on every call,
+    # and so do new arrays per block whenever the allocator hands their
+    # pages back between blocks, which depends on what the process freed
+    # before (with glibc, the largest block it has unmapped)
     step = max(16, (1 << 15) // G)
+    J = min(step, u.size)
+    work = np.empty((3, J, G))
+    table = np.empty((J, -(-G // _DECAY_SPLIT), _DECAY_SPLIT))
     for j0 in range(0, u.size, step):
-        total += _soe_block(flat, u[j0 : j0 + step] * h, w[j0 : j0 + step])
+        total += _soe_block(flat, u[j0 : j0 + step] * h, w[j0 : j0 + step],
+                            work, table)
     return total
 
 
-def _soe_block(flat, alpha: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _soe_block(flat, alpha: np.ndarray, w: np.ndarray, work: np.ndarray,
+               table: np.ndarray) -> np.ndarray:
     """One block's share sum_j w_j (prod_i (f_i + E_j f_i) - prod_i f_i),
-    for the rates alpha_j = u_j h."""
-    G = flat[0].size
+    for the rates alpha_j = u_j h, computed in the first alpha.size rows of
+    the workspace ``work`` (three (J, G) arrays) and ``table``."""
+    J, G = alpha.size, flat[0].size
     # exp(-alpha d) = exp(-alpha B q) exp(-alpha r) for d = B q + r: two
     # short tables of exponentials and one product, not J * G exponentials
-    B = 16
-    coarse = np.exp(-alpha[:, None] * (B * np.arange(-(-G // B))))
+    B = _DECAY_SPLIT
+    coarse = np.exp(-alpha[:, None] * (B * np.arange(table.shape[1])))
     fine = np.exp(-alpha[:, None] * np.arange(B))
-    decay = (coarse[:, :, None] * fine[:, None, :]).reshape(alpha.size, -1)[:, 1:G]
+    decay = np.multiply(coarse[:, :, None], fine[:, None, :],
+                        out=table[:J]).reshape(J, -1)[:, 1:G]
+    acc, e, tmp = work[:, :J]
     # acc is prod over the slots so far minus its all-singular term; each
-    # slot extends it without ever adding that term in
-    acc, diag = _exp_smooth(flat[0], alpha, decay), flat[0]
+    # slot extends it, acc (v + e) + diag e, without ever adding that term in
+    _exp_smooth(flat[0], alpha, decay, acc)
+    diag = flat[0]
     for v in flat[1:-1]:
-        e = _exp_smooth(v, alpha, decay)
-        acc = acc * (v + e) + diag * e
+        _exp_smooth(v, alpha, decay, e)
+        acc *= np.add(v, e, out=tmp)
+        acc += np.multiply(diag, e, out=tmp)
         diag = diag * v
     if len(flat) == 1:
         return w @ acc
     v = flat[-1]
-    e = _exp_smooth(v, alpha, decay)
+    _exp_smooth(v, alpha, decay, e)
     # the last slot's extension, applied after the sum over nodes
-    return v * (w @ acc) + w @ (acc * e) + diag * (w @ e)
+    return v * (w @ acc) + w @ np.multiply(acc, e, out=tmp) + diag * (w @ e)
 
 
 def _dense_tuple_sum(kernel: KenigSteinKernel, X, cells, flat, sup) -> np.ndarray:

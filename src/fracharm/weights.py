@@ -13,6 +13,14 @@ breakdown: for weights in the class the per-level maxima saturate as the
 family refines, while for weights outside it they blow up, so stability of
 the two finest levels is the membership signal.  The reported value is a
 max over finitely many cubes, never a certified supremum.
+
+The family holds each level as one array of cube centres, and the averages
+of a level come from one call of ``Weight._averages``: array arithmetic for
+the cube endpoints and sample ranges, then one average per cube.  Every
+transcendental (``**``, ``math.log``) stays a Python-float operation, on
+the cube averages as well as on the constants built from them.  numpy's
+vectorized ``power`` and ``exp`` may differ from them in the last bit, and
+such a bit would move a reported constant.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from functools import lru_cache
 from itertools import product as _product
 
 import numpy as np
-from scipy.integrate import dblquad, quad
 
 from .grid import Cube, DyadicFamily, GridFunction, dyadic_cubes
 
@@ -65,6 +72,9 @@ def _interval_power_integral(s: float, t: float, b: float) -> float:
 @lru_cache(maxsize=None)
 def _corner_box_integral(A: float, B: float, b: float) -> float:
     """Integral of |z|^b over [0,A] x [0,B]; requires b > -2."""
+    # loaded here: only 2-D power weights integrate numerically
+    from scipy.integrate import quad
+
     if A <= 0.0 or B <= 0.0:
         return 0.0
     e = b + 2.0
@@ -88,6 +98,8 @@ def _axis_clip(lo: float, hi: float, sign: float):
 
 def _rect_power_integral(lo, hi, b: float) -> float:
     """Integral of |z|^b over [lo0,hi0] x [lo1,hi1] in origin-centered coordinates."""
+    from scipy.integrate import dblquad
+
     total = 0.0
     for sx, sy in _product((1.0, -1.0), repeat=2):
         cx = _axis_clip(lo[0], hi[0], sx)
@@ -212,29 +224,47 @@ class Weight:
 
     def average(self, cube: Cube, power: float = 1.0) -> float:
         """Exact average of w^power over the cube (may be +inf)."""
-        if cube.dim != self.dim:
+        return self._averages(np.array([cube.center]), cube.side, power)[0]
+
+    def _averages(self, centres: np.ndarray, side: float, power: float = 1.0) -> list:
+        """Exact averages of w^power over the cubes of this side centred at
+        the rows of ``centres`` (shape (k, dim)), in row order (may be +inf).
+
+        The endpoints and sample ranges are array arithmetic with the float
+        operations of ``Cube.lo``/``Cube.hi`` and the comparisons of
+        ``GridFunction.cells`` (``cell_ranges``); each average is then taken
+        cube by cube in Python floats."""
+        if centres.shape[1] != self.dim:
             raise ValueError("cube dimension does not match weight dimension")
         if self.kind == "constant":
-            return self.value ** power
+            return [self.value ** power] * len(centres)
+        lo = centres - side / 2
+        hi = centres + side / 2
         if self.kind == "power":
             b = self.exponent * power
             mult = self.multiplier ** power
-            lo = tuple(l - c for l, c in zip(cube.lo, self.center))
-            hi = tuple(u - c for u, c in zip(cube.hi, self.center))
+            volume = side ** self.dim
+            x0 = np.asarray(self.center)
+            lo, hi = (lo - x0).tolist(), (hi - x0).tolist()
             # the interval and the rectangle are different closed forms
             if self.dim == 1:
-                raw = _interval_power_integral(lo[0], hi[0], b)
-            else:
-                raw = _rect_power_integral(lo, hi, b)
-            return mult * raw / cube.volume
-        # reduce one contiguous run in row-major order, not a strided view,
-        # whose mean would sum in another order
-        block = self.samples.samples[self.samples.cells(cube)].ravel()
-        if block.size == 0:
-            raise ValueError("cube contains no sample points")
+                return [mult * _interval_power_integral(s, t, b) / volume
+                        for (s,), (t,) in zip(lo, hi)]
+            return [mult * _rect_power_integral(l, u, b) / volume
+                    for l, u in zip(lo, hi)]
+        g = self.samples
         with np.errstate(divide="ignore"):
-            vals = block ** power
-        return float(np.mean(vals))
+            vals = g.samples ** power
+        first, last = g.cell_ranges(lo, hi)
+        out = []
+        for a, b in zip(first.tolist(), last.tolist()):
+            # reduce one contiguous run in row-major order, not a strided
+            # view, whose mean would sum in another order
+            block = vals[tuple(map(slice, a, b))].ravel()
+            if block.size == 0:
+                raise ValueError("cube contains no sample points")
+            out.append(float(np.mean(block)))
+        return out
 
 
 # -- constant reports ----------------------------------------------------------
@@ -269,31 +299,25 @@ def weight_cube_family(window, j_min: int, j_max: int, h: float | None = None) -
     one for the weights in scope.
     """
     base = dyadic_cubes(window, j_min, j_max, h)
-    window_t = base.window
-    cubes = list(base.cubes)
-    shifts = (0.0, 1.0 / 3.0, 2.0 / 3.0)
-    for q in base.cubes:
-        tol = 1e-9 * q.side
-        for combo in _product(shifts, repeat=q.dim):
-            if all(s == 0.0 for s in combo):
-                continue
-            t = q.translated(tuple(s * q.side for s in combo))
-            inside = all(
-                t.lo[k] >= window_t[k][0] - tol and t.hi[k] <= window_t[k][1] + tol
-                for k in range(q.dim)
-            )
-            if inside:
-                cubes.append(t)
-    return DyadicFamily(window_t, j_min, j_max, tuple(cubes))
+    shifts = [c for c in _product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=base.dim) if any(c)]
+    lo = np.array([iv[0] for iv in base.window])
+    hi = np.array([iv[1] for iv in base.window])
+    centres = []
+    for j, tiling in zip(base.levels(), base.centres):
+        side = 2.0 ** j
+        tol = 1e-9 * side
+        # translates[i, s] is tiling cube i moved by shift s
+        translates = np.stack([tiling + np.array(s) * side for s in shifts], axis=1)
+        inside = np.all((translates - side / 2 >= lo - tol)
+                        & (translates + side / 2 <= hi + tol), axis=-1)
+        centres.append(np.concatenate([tiling, translates[inside]]))
+    return DyadicFamily(base.window, j_min, j_max, tuple(centres), base.tiles)
 
 
-def _sup_report(w: Weight, family: DyadicFamily, cube_value, params: dict) -> WeightConstantReport:
-    per_level = {}
-    for j in family.levels():
-        level_cubes = family.cubes_at(j)
-        if not level_cubes:
-            continue
-        per_level[j] = max(cube_value(q) for q in level_cubes)
+def _sup_report(w: Weight, family: DyadicFamily, level_values, params: dict) -> WeightConstantReport:
+    """``level_values(centres, side)`` gives one value per cube of a level."""
+    per_level = {j: max(level_values(centres, 2.0 ** j))
+                 for j, centres in zip(family.levels(), family.centres)}
     levels = sorted(per_level)
     finest = [per_level[j] for j in levels[:2]]
     if len(finest) == 2:
@@ -326,14 +350,13 @@ def ap_constant(w: Weight, p: float, family: DyadicFamily) -> WeightConstantRepo
     conj = p / (p - 1.0)
     u = _scale_free(w)
 
-    def val(q: Cube) -> float:
-        a1 = u.average(q)
-        a2 = u.average(q, power=1.0 - conj)
-        if not (math.isfinite(a1) and math.isfinite(a2)):
-            return math.inf
-        return a1 * a2 ** (p - 1.0)
+    def values(centres, side) -> list:
+        return [a1 * a2 ** (p - 1.0)
+                if math.isfinite(a1) and math.isfinite(a2) else math.inf
+                for a1, a2 in zip(u._averages(centres, side),
+                                  u._averages(centres, side, 1.0 - conj))]
 
-    return _sup_report(w, family, val, {"p": p, "quantity": "Ap"})
+    return _sup_report(w, family, values, {"p": p, "quantity": "Ap"})
 
 
 def rh_constant(w: Weight, s: float, family: DyadicFamily) -> WeightConstantReport:
@@ -342,14 +365,12 @@ def rh_constant(w: Weight, s: float, family: DyadicFamily) -> WeightConstantRepo
         raise ValueError(f"rh_constant needs s > 1, got {s}")
     u = _scale_free(w)
 
-    def val(q: Cube) -> float:
-        num = u.average(q, power=s)
-        den = u.average(q)
-        if not math.isfinite(num):
-            return math.inf
-        return num ** (1.0 / s) / den
+    def values(centres, side) -> list:
+        return [num ** (1.0 / s) / den if math.isfinite(num) else math.inf
+                for num, den in zip(u._averages(centres, side, s),
+                                    u._averages(centres, side))]
 
-    return _sup_report(w, family, val, {"s": s, "quantity": "RH"})
+    return _sup_report(w, family, values, {"s": s, "quantity": "RH"})
 
 
 def apq_constant(w: Weight, p: float, q: float, family: DyadicFamily) -> WeightConstantReport:
@@ -363,14 +384,13 @@ def apq_constant(w: Weight, p: float, q: float, family: DyadicFamily) -> WeightC
     conj = p / (p - 1.0)
     u = _scale_free(w)
 
-    def val(cube: Cube) -> float:
-        a1 = u.average(cube, power=q)
-        a2 = u.average(cube, power=-conj)
-        if not (math.isfinite(a1) and math.isfinite(a2)):
-            return math.inf
-        return a1 ** (1.0 / q) * a2 ** (1.0 / conj)
+    def values(centres, side) -> list:
+        return [a1 ** (1.0 / q) * a2 ** (1.0 / conj)
+                if math.isfinite(a1) and math.isfinite(a2) else math.inf
+                for a1, a2 in zip(u._averages(centres, side, q),
+                                  u._averages(centres, side, -conj))]
 
-    return _sup_report(w, family, val,
+    return _sup_report(w, family, values,
                        {"p": p, "q": q, "quantity": "Apq",
                         "consistent": bool(p > 1 and q > p)})
 

@@ -23,16 +23,20 @@ STAR = {
 }
 
 
-def run_module(*argv, timeout):
-    """``python -m fracharm.cli ARGV`` in a child process, killed after
-    ``timeout`` seconds, so a hang fails the test instead of the suite."""
+def run_python(*argv, timeout):
+    """``python ARGV`` in a child process that imports this fracharm, killed
+    after ``timeout`` seconds, so a hang fails the test instead of the suite."""
     env = dict(os.environ)
     src = str(Path(fracharm.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "fracharm.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout):
+    """``python -m fracharm.cli ARGV`` in a child process."""
+    return run_python("-m", "fracharm.cli", *argv, timeout=timeout)
 
 
 def write_config(tmp_path, payload, name="c.json"):
@@ -562,3 +566,10 @@ class TestMisc:
         res = run_module("list", timeout=120)
         assert res.returncode == 0, res.stderr
         assert "frac-hardy" in res.stdout
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate serves 2-D power weights only and loads on first use
+        res = run_python("-c", "import fracharm, sys; "
+                         "print('scipy.integrate' in sys.modules)", timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +172,19 @@ class TestCells:
         with pytest.raises(ValueError):
             GridFunction.zeros(BOX2, 0.125).cells(Cube((0.0,), 1.0))
 
+    @pytest.mark.parametrize("box", [BOX1, BOX2])
+    def test_ranges_of_many_cubes_match_cells(self, box):
+        g = GridFunction.zeros(box, 0.125)
+        rng = np.random.default_rng(8)
+        cubes = [Cube(tuple(rng.uniform(-3.0, 3.0, size=len(box))),
+                      float(rng.uniform(0.01, 3.0))) for _ in range(200)]
+        # the cube on cell centers of test_half_open_edges_on_cell_centers
+        cubes.append(Cube((0.0625 + 0.25,) * len(box), 0.5))
+        first, last = g.cell_ranges(np.array([q.lo for q in cubes]),
+                                    np.array([q.hi for q in cubes]))
+        assert [tuple(map(slice, a, b)) for a, b in zip(first.tolist(), last.tolist())] \
+            == [g.cells(q) for q in cubes]
+
 
 class TestNorms:
     def test_indicator_quasinorm_p_half(self):
@@ -278,3 +292,31 @@ class TestDyadic:
     def test_rejects_subgrid_levels(self):
         with pytest.raises(ValueError):
             dyadic_cubes(((0.0, 4.0),), -8, 0, h=2.0 ** -6)
+
+
+def reference_tiling(window, j_min, j_max):
+    """(center, side) of every dyadic cube, level by level, in product order."""
+    out = []
+    for j in range(j_min, j_max + 1):
+        side = 2.0 ** j
+        counts = [round((hi - lo) / side) for lo, hi in window]
+        for idx in itertools.product(*(range(c) for c in counts)):
+            out.append((tuple(lo + (i + 0.5) * side
+                              for (lo, _), i in zip(window, idx)), side))
+    return out
+
+
+class TestDyadicCentres:
+    @pytest.mark.parametrize("window, j_min, j_max, h", [
+        (((0.0, 4.0),), 0, 2, None),
+        (((-1.7, 2.3),), -3, 1, 2.0 ** -4),
+        (((-1.0, 1.0), (-1.0, 1.0)), -2, 0, None),
+        (((0.0, 8.0), (-2.0, 2.0)), -2, 1, 0.125),
+    ])
+    def test_same_cubes_in_the_same_order(self, window, j_min, j_max, h):
+        fam = dyadic_cubes(window, j_min, j_max, h)
+        ref = reference_tiling(window, j_min, j_max)
+        assert [(q.center, q.side) for q in fam.cubes] == ref
+        for j in fam.levels():
+            assert [(q.center, q.side) for q in fam.cubes_at(j)] == \
+                [r for r in ref if r[1] == 2.0 ** j]

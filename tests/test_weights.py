@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -292,3 +293,140 @@ class TestReportShape:
     def test_value_is_max_of_levels(self):
         rep = ap_constant(Weight.power(0.5), 2.0, FAMILY)
         assert rep.value == max(rep.per_level.values())
+
+
+def reference_family(window, j_min, j_max):
+    """(center, side) of a dyadic family and its one- and two-third
+    translates, built cube by cube: the tiling first, then the translates
+    that stay in the window, grouped by the cube they come from."""
+    tiles = []
+    for j in range(j_min, j_max + 1):
+        side = 2.0 ** j
+        counts = [round((hi - lo) / side) for lo, hi in window]
+        for idx in itertools.product(*(range(c) for c in counts)):
+            tiles.append(Cube(tuple(lo + (i + 0.5) * side
+                                    for (lo, _), i in zip(window, idx)), side))
+    out = list(tiles)
+    for q in tiles:
+        tol = 1e-9 * q.side
+        for combo in itertools.product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=q.dim):
+            if all(s == 0.0 for s in combo):
+                continue
+            t = q.translated(tuple(s * q.side for s in combo))
+            if all(t.lo[k] >= window[k][0] - tol and t.hi[k] <= window[k][1] + tol
+                   for k in range(q.dim)):
+                out.append(t)
+    return [(q.center, q.side) for q in out]
+
+
+class TestWeightCubeFamily:
+    @pytest.mark.parametrize("window, j_min, j_max, h", [
+        (WINDOW, -4, 2, None),
+        (((-1.7, 2.3),), -3, 1, 2.0 ** -4),
+        (((-1.0, 1.0), (-1.0, 1.0)), -2, 0, None),
+        (((0.0, 8.0), (-2.0, 2.0)), -2, 1, 0.125),
+    ])
+    def test_same_cubes_in_the_same_order(self, window, j_min, j_max, h):
+        fam = weight_cube_family(window, j_min, j_max, h)
+        ref = reference_family(window, j_min, j_max)
+        assert [(q.center, q.side) for q in fam.cubes] == ref
+        for j in fam.levels():
+            assert [(q.center, q.side) for q in fam.cubes_at(j)] == \
+                [r for r in ref if r[1] == 2.0 ** j]
+
+
+def _sampled(box, h, seed):
+    g = GridFunction.zeros(box, h)
+    rng = np.random.default_rng(seed)
+    return Weight.sampled(g.with_samples(rng.uniform(0.25, 4.0, g.samples.shape)))
+
+
+def reference_per_level(quantity, w, family, *args):
+    """Per-level maxima of the cube quantity, one ``Weight.average`` call
+    per cube and power (a sampled weight's is written out: the mean of the
+    cube's block raised to the power); the constant weight is replaced by 1
+    as the constants do."""
+    u = Weight.constant(1.0, dim=w.dim) if w.kind == "constant" else w
+
+    def average(q, power=1.0):
+        if u.kind != "sampled":
+            return u.average(q, power)
+        g = u.samples
+        return float(np.mean(g.samples[g.cells(q)].ravel() ** power))
+
+    def value(q):
+        if quantity == "Ap":
+            (p,) = args
+            a1 = average(q)
+            a2 = average(q, power=1.0 - p / (p - 1.0))
+            if not (math.isfinite(a1) and math.isfinite(a2)):
+                return math.inf
+            return a1 * a2 ** (p - 1.0)
+        if quantity == "RH":
+            (s,) = args
+            num = average(q, power=s)
+            den = average(q)
+            return num ** (1.0 / s) / den if math.isfinite(num) else math.inf
+        p, r = args
+        conj = p / (p - 1.0)
+        a1 = average(q, power=r)
+        a2 = average(q, power=-conj)
+        if not (math.isfinite(a1) and math.isfinite(a2)):
+            return math.inf
+        return a1 ** (1.0 / r) * a2 ** (1.0 / conj)
+
+    return {j: max(value(q) for q in family.cubes_at(j)) for j in family.levels()}
+
+
+_FAMILY_1D = weight_cube_family(WINDOW, -4, 2)
+_FAMILY_2D = weight_cube_family(((-1.0, 1.0), (-1.0, 1.0)), -1, 0)
+_SAMPLED_1D = (_sampled(WINDOW, 2.0 ** -4, 5),
+               weight_cube_family(((-4.0, 4.0),), -2, 1, h=2.0 ** -4))
+_SAMPLED_2D = (_sampled(((-2.0, 2.0), (-2.0, 2.0)), 0.125, 6),
+               weight_cube_family(((-1.0, 1.0), (-1.0, 1.0)), -2, 0, h=0.125))
+
+PER_LEVEL_CASES = {
+    "constant-4": (Weight.constant(4.0), _FAMILY_1D),
+    "constant-0.25": (Weight.constant(0.25), _FAMILY_1D),
+    "power-0.25": (Weight.power(0.25), _FAMILY_1D),
+    "power-minus-0.5": (Weight.power(-0.5), _FAMILY_1D),
+    # exponent -1 is outside the weight range but reached by pow()
+    "power-minus-1": (Weight.power(0.5).pow(-2.0), _FAMILY_1D),
+    "power-off-centre": (Weight.power(0.5, center=(0.7,), multiplier=3.0), _FAMILY_1D),
+    "sampled-1d": _SAMPLED_1D,
+    "sampled-2d": _SAMPLED_2D,
+    "power-2d": (Weight.power(-1.0, center=(0.0, 0.0)), _FAMILY_2D),
+}
+
+
+class TestPerLevelValues:
+    """Each constant's per-level maxima equal a loop of ``Weight.average``
+    over the cubes of the level, to the last bit."""
+
+    @pytest.mark.parametrize("case", sorted(PER_LEVEL_CASES))
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_ap(self, case, p):
+        w, fam = PER_LEVEL_CASES[case]
+        assert ap_constant(w, p, fam).per_level == reference_per_level("Ap", w, fam, p)
+
+    @pytest.mark.parametrize("case", sorted(PER_LEVEL_CASES))
+    @pytest.mark.parametrize("s", [2.0, 3.0])
+    def test_rh(self, case, s):
+        w, fam = PER_LEVEL_CASES[case]
+        assert rh_constant(w, s, fam).per_level == reference_per_level("RH", w, fam, s)
+
+    @pytest.mark.parametrize("case", sorted(PER_LEVEL_CASES))
+    def test_apq(self, case):
+        w, fam = PER_LEVEL_CASES[case]
+        assert (apq_constant(w, 2.0, 4.0, fam).per_level
+                == reference_per_level("Apq", w, fam, 2.0, 4.0))
+
+    def test_cases_reach_infinite_averages(self):
+        # rh at s = 2 averages |x|^-1 for the exponent -0.5 weight (the
+        # logarithm) and |x|^-2 for the exponent -1 weight: both infinite on
+        # the cubes that touch the singularity, finite on the others
+        for case in ("power-minus-0.5", "power-minus-1"):
+            w, fam = PER_LEVEL_CASES[case]
+            rep = rh_constant(w, 2.0, fam)
+            assert rep.value == math.inf
+            assert math.isfinite(min(w.pow(2.0).average(q) for q in fam.cubes))
