@@ -12,10 +12,11 @@ report byte-identical leaves both digests unchanged.
 The verdict line of each config goes to standard error, followed by the
 wall time in seconds of the child's ``from fracharm.cli import cli_main``
 and of its ``cli_main`` call alone (trials serial), and the first 16 hex
-digits of the sha256 over that config's report and trials CSV, so a change
-that moves numbers on purpose names the configs it moved, and one that
-makes the package slower to import shows it on every line; the times are
-not part of any digest.  A fresh interpreter per config keeps each
+digits of the sha256 of that config's report and of its trials CSV
+(``report=... csv=...``).  So a change that moves numbers on purpose names
+the configs it moved, one that only drops report keys shows every CSV
+unchanged, and one that makes the package slower to import shows it on
+every line; the times are not part of any digest.  A fresh interpreter per config keeps each
 time free of what earlier configs left in the process: imports, caches and
 allocator state.  Exits 1 if any config fails to verify.
 """
@@ -57,13 +58,14 @@ def _digest(out: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
-def _config_digest(out: Path) -> str:
-    """First 16 hex digits of the sha256 over the files of one config's
-    output directory (report, then trials CSV), in name order."""
-    digest = hashlib.sha256()
-    for f in sorted(out.glob("*")):
-        digest.update(f.read_bytes())
-    return digest.hexdigest()[:16]
+def _config_digests(out: Path) -> str:
+    """``report=<hex> csv=<hex>``: the first 16 hex digits of the sha256 of
+    one config's report and of its trials CSV, ``-`` for a missing file."""
+    parts = []
+    for label, pattern in (("report", "*.report.json"), ("csv", "*.trials.csv")):
+        f = next(out.glob(pattern), None)
+        parts.append(f"{label}={hashlib.sha256(f.read_bytes()).hexdigest()[:16] if f else '-'}")
+    return " ".join(parts)
 
 
 def _run_group(configs, out: Path) -> bool:
@@ -78,7 +80,7 @@ def _run_group(configs, out: Path) -> bool:
         *verdict, load, wall = proc.stdout.splitlines() or ["nan", "nan"]
         print(f"{path.name}: {' '.join(verdict)} "
               f"[import {float(load):.3f} s, run {float(wall):.3f} s] "
-              f"{_config_digest(out / path.stem)}", file=sys.stderr)
+              f"{_config_digests(out / path.stem)}", file=sys.stderr)
         ok = ok and proc.returncode == 0
     return ok
 

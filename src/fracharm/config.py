@@ -32,9 +32,9 @@ Top-level keys:
   sweep              {k_min, k_max} or {ks: [..]}
   tolerances         {slope_tol}
 
-The vanishing-moment order, the var-frac-hardy truncation and the scalar
-Hardy exponents of the extrapolation chain are derived by the runs from the
-fields above; none of them is a field.
+The vanishing-moment order and the scalar Hardy exponents of the
+extrapolation chain are derived by the runs from the fields above; neither
+is a field.
 """
 
 from __future__ import annotations

@@ -316,8 +316,7 @@ class DyadicFamily:
     from.  The weight constants read the arrays a level at a time, with the
     float operations of ``Cube``; their powers and logarithms stay Python
     floats, whose last bit numpy's vectorized ones do not always match (see
-    ``weights``).  ``cubes`` and ``cubes_at`` build ``Cube`` objects on first
-    use: the tiling cubes of every level, then the translates of every level.
+    ``weights``).
     """
 
     window: tuple[tuple[float, float], ...]
@@ -336,21 +335,6 @@ class DyadicFamily:
 
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
-
-    def _level_cubes(self, i: int, rows: slice) -> tuple[Cube, ...]:
-        side = 2.0 ** (self.j_min + i)
-        return tuple(Cube(tuple(c), side) for c in self.centres[i][rows].tolist())
-
-    @cached_property
-    def cubes(self) -> tuple[Cube, ...]:
-        tiling = [self._level_cubes(i, slice(t)) for i, t in enumerate(self.tiles)]
-        shifted = [self._level_cubes(i, slice(t, None)) for i, t in enumerate(self.tiles)]
-        return tuple(itertools.chain(*tiling, *shifted))
-
-    def cubes_at(self, j: int) -> tuple[Cube, ...]:
-        if j not in self.levels():
-            return ()
-        return self._level_cubes(int(j) - self.j_min, slice(None))
 
     def descriptor(self) -> dict:
         return {"window": [list(iv) for iv in self.window],

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import Cube, GridFunction
 from .maximal import hl_maximal
 from .weights import Weight, WeightConstantReport, rh_constant, weight_cube_family
 
@@ -527,13 +527,22 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
     tail = nxt.samples / (2.0 * opnorm) ** (depth + 1)
 
     family = _interior_family(h)
+    tiling, translates = [], []
+    for i, (c, t) in enumerate(zip(family.centres, family.tiles)):
+        side = 2.0 ** (family.j_min + i)
+        first, last = rk.cell_ranges(c - side / 2, c + side / 2)
+        level = [(side, *row) for row in zip(c.tolist(), first.tolist(), last.tolist())]
+        tiling += level[:t]
+        translates += level[t:]
     est = 0.0
     bound = math.inf
     worst = None
     all_ok = True
-    for cube in family.cubes:
+    # the tiling cubes of every level, then the translates: of several
+    # equally worst cubes, the first is the one reported
+    for side, centre, a, b in tiling + translates:
         # reduce contiguous copies: a strided view sums in another order
-        cells = rk.cells(cube)
+        cells = tuple(map(slice, a, b))
         block = rk.samples[cells].copy()
         if block.size == 0:
             continue
@@ -546,7 +555,7 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
         if quot > cap * (1.0 + 1e-9):
             all_ok = False
         if quot > est:
-            est, bound, worst = quot, cap, cube.descriptor()
+            est, bound, worst = quot, cap, Cube(tuple(centre), side).descriptor()
     rh = rh_constant(Weight.sampled(rk.power(power)), rh_order, family)
     return RubioReport(
         domination_margin=margin,

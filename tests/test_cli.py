@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracharm
-from fracharm.cli import cli_main
+import fracharm.cli
+from fracharm.cli import DIAGNOSTIC_CONFIGS, DRIFT_TOL, cli_main
 
 STAR = {
     "experiment": "star-sum",
@@ -348,6 +349,56 @@ class TestKernelCheck:
     def test_bad_gamma_exits_two(self, capsys):
         assert cli_main(["kernel-check", "--m", "1", "--n", "1",
                          "--gamma", "1.5"]) == 2
+
+    def test_diagnostics_attached_and_ok(self, capsys):
+        # frac_hardy_unit's kernel: m = 2, n = 1, gamma = 1/2, order N + 1 = 2
+        code = cli_main(["kernel-check", "--m", "2", "--n", "1",
+                         "--gamma", "0.5", "--order", "2", "--seed", "11"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert code == 0
+        assert diag["configs"] == DIAGNOSTIC_CONFIGS == 20
+        assert diag["drift_tol"] == DRIFT_TOL
+        assert diag["product_drift"] <= DRIFT_TOL
+        assert diag["taylor_drift"] <= DRIFT_TOL
+        for key in ("product_bound", "taylor_remainder"):
+            assert len(diag[key]) == 20
+            assert all(math.isfinite(v) and v > 0 for v in diag[key])
+
+    @pytest.mark.parametrize("argv", [
+        ["--m", "4", "--n", "1", "--gamma", "1.5"],
+        ["--m", "2", "--n", "2", "--gamma", "1.0", "--order", "3"],
+    ], ids=["m4-n1", "m2-n2-order3"])
+    def test_largest_shapes_pass(self, capsys, argv):
+        assert cli_main(["kernel-check", *argv]) == 0
+
+    def test_scale_dependent_product_bound_exits_one(self, capsys, monkeypatch):
+        # a product bound that grows with the grid step is not dilation
+        # covariant: the drift gate must see it
+        honest = fracharm.cli.local_product_bound_check
+
+        def skewed(kernel, cubes, gamma_split, x, *, box, h):
+            return honest(kernel, cubes, gamma_split, x, box=box, h=h) * (1.0 + h)
+
+        monkeypatch.setattr(fracharm.cli, "local_product_bound_check", skewed)
+        code = cli_main(["kernel-check", "--m", "2", "--n", "1",
+                         "--gamma", "0.5"])
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert code == 1
+        assert diag["product_drift"] > DRIFT_TOL
+        assert diag["taylor_drift"] <= DRIFT_TOL
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_product_bound_not_positive_finite_exits_one(self, capsys, monkeypatch,
+                                                         value):
+        monkeypatch.setattr(fracharm.cli, "local_product_bound_check",
+                            lambda *args, **kwargs: value)
+        assert cli_main(["kernel-check", "--m", "2", "--n", "1",
+                         "--gamma", "0.5"]) == 1
+
+    def test_mn_above_cost_cap_exits_two(self, capsys):
+        assert cli_main(["kernel-check", "--m", "3", "--n", "2",
+                         "--gamma", "1.0"]) == 2
+        assert "cost cap" in capsys.readouterr().err
 
 
 class TestLibraryPreconditions:

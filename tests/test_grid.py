@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import family_cubes
 from fracharm.grid import (
     Cube,
     GridFunction,
@@ -270,20 +271,20 @@ class TestDyadic:
     def test_levels_and_count(self):
         fam = dyadic_cubes(((0.0, 4.0),), 0, 2)
         # sides 1, 2, 4 tile [0,4] with 4 + 2 + 1 cubes
-        assert len(fam.cubes) == 7
-        assert len(fam.cubes_at(0)) == 4
-        assert len(fam.cubes_at(2)) == 1
+        assert len(family_cubes(fam)) == 7
+        assert len(family_cubes(fam, 0)) == 4
+        assert len(family_cubes(fam, 2)) == 1
 
     def test_cubes_tile_window(self):
         fam = dyadic_cubes(((0.0, 4.0),), 0, 0)
         h = 2.0 ** -4
-        total = sum(integrate(q.indicator(((0.0, 4.0),), h)) for q in fam.cubes_at(0))
+        total = sum(integrate(q.indicator(((0.0, 4.0),), h)) for q in family_cubes(fam, 0))
         assert total == 4.0
 
     def test_2d_count(self):
         fam = dyadic_cubes(((0.0, 2.0), (0.0, 2.0)), 0, 1)
-        assert len(fam.cubes_at(0)) == 4
-        assert len(fam.cubes_at(1)) == 1
+        assert len(family_cubes(fam, 0)) == 4
+        assert len(family_cubes(fam, 1)) == 1
 
     def test_rejects_untiled_window(self):
         with pytest.raises(ValueError):
@@ -316,7 +317,7 @@ class TestDyadicCentres:
     def test_same_cubes_in_the_same_order(self, window, j_min, j_max, h):
         fam = dyadic_cubes(window, j_min, j_max, h)
         ref = reference_tiling(window, j_min, j_max)
-        assert [(q.center, q.side) for q in fam.cubes] == ref
+        assert [(q.center, q.side) for q in family_cubes(fam)] == ref
         for j in fam.levels():
-            assert [(q.center, q.side) for q in fam.cubes_at(j)] == \
+            assert [(q.center, q.side) for q in family_cubes(fam, j)] == \
                 [r for r in ref if r[1] == 2.0 ** j]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import family_cubes
 from fracharm.grid import Cube, GridFunction, integrate
 from fracharm.weights import (
     Weight,
@@ -329,9 +330,9 @@ class TestWeightCubeFamily:
     def test_same_cubes_in_the_same_order(self, window, j_min, j_max, h):
         fam = weight_cube_family(window, j_min, j_max, h)
         ref = reference_family(window, j_min, j_max)
-        assert [(q.center, q.side) for q in fam.cubes] == ref
+        assert [(q.center, q.side) for q in family_cubes(fam)] == ref
         for j in fam.levels():
-            assert [(q.center, q.side) for q in fam.cubes_at(j)] == \
+            assert [(q.center, q.side) for q in family_cubes(fam, j)] == \
                 [r for r in ref if r[1] == 2.0 ** j]
 
 
@@ -375,7 +376,7 @@ def reference_per_level(quantity, w, family, *args):
             return math.inf
         return a1 ** (1.0 / r) * a2 ** (1.0 / conj)
 
-    return {j: max(value(q) for q in family.cubes_at(j)) for j in family.levels()}
+    return {j: max(value(q) for q in family_cubes(family, j)) for j in family.levels()}
 
 
 _FAMILY_1D = weight_cube_family(WINDOW, -4, 2)
@@ -429,4 +430,4 @@ class TestPerLevelValues:
             w, fam = PER_LEVEL_CASES[case]
             rep = rh_constant(w, 2.0, fam)
             assert rep.value == math.inf
-            assert math.isfinite(min(w.pow(2.0).average(q) for q in fam.cubes))
+            assert math.isfinite(min(w.pow(2.0).average(q) for q in family_cubes(fam)))
