@@ -41,7 +41,7 @@ from .config import ExperimentConfig
 from .grid import Cube, GridFunction, integrate, weighted_lp_quasinorm
 from .kernels import KenigSteinKernel, apply_frac_operator
 from .maximal import Mollifier, frac_maximal, grand_maximal, hl_maximal
-from .reports import AnnuliReport, ChainReport, ChainStep, RatioReport, TrialRow
+from .reports import AnnuliReport, ChainReport, ChainStep, Gate, RatioReport, TrialRow
 from .varexp import (
     derive_system,
     dual_witness,
@@ -466,7 +466,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     rows = []
     per_level: dict = {}
     per_cube: dict = {}
-    partition_all = True
+    inexact = 0  # tilings that are not an exact partition
     per_k_bounds: dict = {}
 
     cubes, _ = _indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 3]),
@@ -479,12 +479,13 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     for j, cube in enumerate(cubes):
         for k, box_k, h_k in _sweep(cfg):
             pieces, part_ok = _annuli_scan(_dilated(cube, k), box_k, h_k, s)
-            partition_all = partition_all and part_ok
+            inexact += not part_ok
             for level, lo, hi in pieces:
                 rows.append(TrialRow.make(j, k, lo, hi))
                 fold(per_level, level, lo, hi)
                 fold(per_cube, j, lo, hi)
                 fold(per_k_bounds, k, lo, hi)
+    partition_all = inexact == 0
 
     lower = min(v[0] for v in per_cube.values())
     upper = max(v[1] for v in per_cube.values())
@@ -495,7 +496,6 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
     )
 
     # fixed-grid doubling: same box and h, cubes twice the side
-    doubled_ok = True
     dbl_lo, dbl_hi = math.inf, -math.inf
     for cube in cubes:
         big = Cube(cube.center, cube.side * 2.0)
@@ -503,7 +503,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
             pieces, part_ok = _annuli_scan(big, cfg.box, cfg.h, s)
         except HypothesisError:
             continue
-        doubled_ok = doubled_ok and part_ok
+        inexact += not part_ok
         for _, lo, hi in pieces:
             dbl_lo, dbl_hi = min(dbl_lo, lo), max(dbl_hi, hi)
     doubling_drift = (
@@ -513,16 +513,18 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
 
     band = (3.0 ** -s, 3.0 ** s)
     tol = 1e-9
-    in_band = lower >= band[0] * (1 - tol) and upper <= band[1] * (1 + tol)
-    passed = (partition_all and doubled_ok and in_band
-              and scale_drift <= 0.02 and doubling_drift <= 0.02)
+    gates = (Gate("partition", inexact, "<=", 0),
+             Gate("band_lower", lower, ">=", band[0] * (1 - tol)),
+             Gate("band_upper", upper, "<=", band[1] * (1 + tol)),
+             Gate("scale_drift", scale_drift, "<=", 0.02),
+             Gate("doubling_drift", doubling_drift, "<=", 0.02))
     metadata = {
         "cubes": [c.descriptor() for c in cubes],
         "doubling_drift": doubling_drift,
         "per_scale": {str(k): list(v) for k, v in sorted(per_k_bounds.items())},
     }
     return AnnuliReport("annuli", s, band, lower, upper, per_level, per_cube,
-                        partition_all, scale_drift, passed, tuple(rows), metadata)
+                        partition_all, scale_drift, gates, tuple(rows), metadata)
 
 
 # -- vector-valued maximal bounds --------------------------------------------------
@@ -796,26 +798,27 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
 
     steps = []
 
-    def step(name, lhs, rhs, bound, ok=None):
+    def step(name, lhs, rhs, bound=None, check=None):
+        # a link gates constant <= bound, or else its (value, relation,
+        # limit) check, such as an identity's residual against a tolerance
         constant = lhs / rhs if rhs > 0 else math.inf
-        if ok is None:
-            ok = math.isfinite(constant) and (bound is None or constant <= bound)
-        steps.append(ChainStep(name, float(lhs), float(rhs), float(constant),
-                               bound, bool(ok)))
+        value, relation, limit = check or (constant, "<=", bound)
+        steps.append(ChainStep(name, float(lhs), float(rhs), float(constant), bound,
+                               Gate(name, float(value), relation, limit)))
         return constant
 
     # ||F||_{q(.)}^q realizes ||F^q||_{qbar}
     norm_F = luxemburg_norm(F, system.target)
     norm_G = luxemburg_norm(G, qbar)
-    step("power_rescale", norm_F ** q, norm_G, None,
-         ok=abs(norm_F ** q / norm_G - 1.0) <= 1e-5)
+    step("power_rescale", norm_F ** q, norm_G,
+         check=(abs(norm_F ** q / norm_G - 1.0), "<=", 1e-5))
 
     # the dual witness pairs to within a factor 2
     h_fn = dual_witness(G, qbar)
     pairing = integrate(G * h_fn)
     step("dual_norming", norm_G, pairing, 2.0 + 1e-9)
     rho_h = modular(h_fn, qbar_c)
-    step("witness_modular", rho_h, 1.0, None, ok=abs(rho_h - 1.0) <= 1e-5)
+    step("witness_modular", rho_h, 1.0, check=(abs(rho_h - 1.0), "<=", 1e-5))
 
     # splitting h by the theta exponents is exact
     theta_prod = np.ones_like(h_fn.samples)
@@ -823,8 +826,8 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         theta_prod = theta_prod * h_fn.samples ** th.evaluate(coords)
     split_res = float(np.max(np.abs(theta_prod - h_fn.samples)))
     sup_h = float(h_fn.sup_norm())
-    step("theta_split", split_res, 1.0 + sup_h, None,
-         ok=split_res <= 1e-12 * (1.0 + sup_h))
+    step("theta_split", split_res, 1.0 + sup_h,
+         check=(split_res, "<=", 1e-12 * (1.0 + sup_h)))
 
     # per-slot iteration: unit norms, truncated-series norm bound, weights
     depth = 8
@@ -839,8 +842,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         expo = qbar_c.evaluate(coords) * q_i / (pbar_c.evaluate(coords) * s_i)
         u = F.with_samples(h_fn.samples ** expo)
         unit = luxemburg_norm(u, sigma)
-        step(f"slot_unit_norm_{i}", unit, 1.0, None,
-             ok=abs(unit - 1.0) <= 1e-4)
+        step(f"slot_unit_norm_{i}", unit, 1.0, check=(abs(unit - 1.0), "<=", 1e-4))
         A = maximal_opnorm_estimate(sigma, [u, hl_maximal(u)])
         props = rubio_properties_check(u, sigma, A, depth=depth,
                                        power=s_i / q_i, rh_order=q_i / s_i)
@@ -860,7 +862,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     dominated = integrate(G * D_fn)
     step("iteration_domination", pairing, dominated, 1.0 + 1e-12)
 
-    # the weighted hypothesis side: finite measured constant, not gated
+    # the weighted hypothesis side: its measured constant is gated as finite
     mol = _mollifier_for(cfg.box, cfg.h)
     maximal_fns = [grand_maximal(f, mol) for f in fs]
     hyp_rhs = 1.0
@@ -870,8 +872,8 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         slot_integrals.append(val)
         hyp_rhs *= val ** (1.0 / s_i)
     hypothesis_constant = dominated ** (1.0 / q) / hyp_rhs
-    step("weighted_hypothesis", dominated ** (1.0 / q), hyp_rhs, None,
-         ok=math.isfinite(hypothesis_constant))
+    step("weighted_hypothesis", dominated ** (1.0 / q), hyp_rhs,
+         check=(hypothesis_constant, "<", math.inf))
 
     # per-slot Hoelder, rescaling, and weight-norm accounting
     final = norm_F
@@ -884,11 +886,11 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         lux_w = luxemburg_norm(W, pbar_c)
         step(f"slot_hoelder_{i}", val, lux_ms * lux_w, 4.0)
         lux_m = luxemburg_norm(mf, cfg.exponents[i])
-        step(f"slot_rescale_{i}", lux_m ** s_i, lux_ms, None,
-             ok=abs(lux_m ** s_i / lux_ms - 1.0) <= 1e-5)
+        step(f"slot_rescale_{i}", lux_m ** s_i, lux_ms,
+             check=(abs(lux_m ** s_i / lux_ms - 1.0), "<=", 1e-5))
         final /= lux_m
-        step(f"weight_norm_{i}", lux_w, lux_r, None,
-             ok=abs(lux_w / lux_r - 1.0) <= 1e-5)
+        step(f"weight_norm_{i}", lux_w, lux_r,
+             check=(abs(lux_w / lux_r - 1.0), "<=", 1e-5))
 
     metadata = {
         "system": system.to_json_dict(),

@@ -112,10 +112,6 @@ class Cube:
         c = tuple(float(a) + factor * (x - float(a)) for a, x in zip(about, self.center))
         return Cube(c, self.side * factor)
 
-    def translated(self, shift: Sequence[float]) -> "Cube":
-        s = np.asarray(shift, dtype=float)
-        return Cube(tuple(np.asarray(self.center) + s), self.side)
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for points of shape (..., dim)."""
         pts = np.asarray(points, dtype=float)

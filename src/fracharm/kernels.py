@@ -35,11 +35,9 @@ from .grid import Cube, GridFunction, multi_indices
 
 __all__ = [
     "KenigSteinKernel",
-    "TaylorData",
     "apply_frac_operator",
     "kernel_size_check",
     "kernel_smoothness_check",
-    "taylor_polynomial",
     "taylor_remainder_check",
     "local_product_bound_check",
 ]
@@ -429,57 +427,30 @@ def kernel_smoothness_check(kernel: KenigSteinKernel, order: int, sample_count: 
 # -- Taylor machinery ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TaylorData:
-    """Degree-(order-1) Taylor expansion of the kernel in one slot about a
-    cube center; coefficients are finite-difference values computed per
-    evaluation configuration since they depend on x and the other slots."""
-
-    kernel: KenigSteinKernel
-    slot: int
-    center: tuple
-    order: int
-
-    def coefficients(self, x: np.ndarray, ys: np.ndarray) -> dict:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ys = np.asarray(ys, dtype=float).reshape(x.shape[0], self.kernel.m, self.kernel.n)
-        base = ys.copy()
-        base[:, self.slot, :] = np.asarray(self.center)
-        # step relative to the expansion slot's own distance from x, so the
-        # stencil never reaches the kink at y_slot = x even when other slots
-        # dominate the total distance
-        step = np.linalg.norm(x - np.asarray(self.center), axis=-1) / 16.0
+def _taylor_polynomial(kernel: KenigSteinKernel, x: np.ndarray, ys: np.ndarray,
+                       slot: int, center: np.ndarray, order: int) -> np.ndarray:
+    """Degree-(order-1) Taylor polynomial of the kernel in one slot about
+    center, at each row of (x, ys); its coefficients depend on x and the
+    other slots, so they are finite differences taken per row."""
+    base = ys.copy()
+    base[:, slot, :] = center
+    # step relative to the expansion slot's own distance from x, so the
+    # stencil never reaches the kink at y_slot = x even when other slots
+    # dominate the total distance
+    step = np.linalg.norm(x - center, axis=-1) / 16.0
+    dy = ys[:, slot, :] - center
+    val = np.zeros(x.shape[0])
+    for beta in multi_indices(kernel.n, order - 1):
         # the zeroth difference is the kernel itself, exactly: its one
         # stencil node has weight 1 and offset 0
-        return {beta: _difference(self.kernel, x, base, self.slot, beta, step)
-                / step ** sum(beta)
-                for beta in multi_indices(self.kernel.n, self.order - 1)}
-
-    def evaluate(self, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ys = np.asarray(ys, dtype=float).reshape(x.shape[0], self.kernel.m, self.kernel.n)
-        coeffs = self.coefficients(x, ys)
-        dy = ys[:, self.slot, :] - np.asarray(self.center)
-        val = np.zeros(x.shape[0])
-        for beta, c in coeffs.items():
-            mono = np.ones(x.shape[0])
-            fact = 1.0
-            for axis, b in enumerate(beta):
-                mono = mono * dy[:, axis] ** b
-                fact *= math.factorial(b)
-            val += c * mono / fact
-        return val
-
-
-def taylor_polynomial(kernel: KenigSteinKernel, slot: int, center, order: int) -> TaylorData:
-    if not 0 <= slot < kernel.m:
-        raise ValueError("slot out of range")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    center = tuple(float(c) for c in np.atleast_1d(center))
-    if len(center) != kernel.n:
-        raise ValueError("center has the wrong dimension")
-    return TaylorData(kernel=kernel, slot=slot, center=center, order=order)
+        c = _difference(kernel, x, base, slot, beta, step) / step ** sum(beta)
+        mono = np.ones(x.shape[0])
+        fact = 1.0
+        for axis, b in enumerate(beta):
+            mono = mono * dy[:, axis] ** b
+            fact *= math.factorial(b)
+        val += c * mono / fact
+    return val
 
 
 # x and the other slots sit at infinity-norm distance 1.01 to 4 times
@@ -487,14 +458,19 @@ def taylor_polynomial(kernel: KenigSteinKernel, slot: int, center, order: int) -
 _TAYLOR_SPAN = (1.01, 4.0)
 
 
-def taylor_remainder_check(kernel: KenigSteinKernel, td: TaylorData, cube: Cube, *,
-                           n_samples: int = 200, seed: int = 0) -> float:
-    """Max over samples of |K - P| * t^(mn + N - gamma) / side^N with the
-    expansion slot in the cube and x outside its star."""
+def taylor_remainder_check(kernel: KenigSteinKernel, cube: Cube, slot: int, order: int, *,
+                           n_samples: int = 200, seed: int = 0) -> tuple:
+    """(remainder, kernel_term): the max over samples of |K - P| and of |K|,
+    each times t^(mn + N - gamma) / side^N, where P is the order-N Taylor
+    polynomial of K in ``slot`` about the cube center, that slot is drawn in
+    the cube and x outside its star.  Near gamma = mn the remainder is mostly
+    the cancellation K - P, so the kernel term is the scale of its rounding."""
     if cube.dim != kernel.n:
         raise ValueError("cube dimension does not match the kernel")
-    if tuple(td.center) != cube.center:
-        raise ValueError("expansion center must be the cube center")
+    if not 0 <= slot < kernel.m:
+        raise ValueError("slot out of range")
+    if order < 1:
+        raise ValueError("order must be at least 1")
     rng = np.random.default_rng(seed)
     n, m, side = kernel.n, kernel.m, cube.side
     c = np.asarray(cube.center)
@@ -512,14 +488,16 @@ def taylor_remainder_check(kernel: KenigSteinKernel, td: TaylorData, cube: Cube,
         raise ValueError("sampled x fell inside the star of the cube")
     ys = np.empty((n_samples, m, n))
     for i in range(m):
-        if i == td.slot:
+        if i == slot:
             ys[:, i, :] = c + side * rng.uniform(-0.5, 0.5, size=(n_samples, n))
         else:
             ys[:, i, :] = annulus(n_samples)
     t = np.linalg.norm(x[:, None, :] - ys, axis=-1).sum(axis=-1)
-    rem = np.abs(kernel.evaluate(x, ys) - td.evaluate(x, ys))
-    power = _fast_power(t, m * n + td.order - kernel.gamma)
-    return float(np.max(rem * power / side ** td.order))
+    k = kernel.evaluate(x, ys)
+    rem = np.abs(k - _taylor_polynomial(kernel, x, ys, slot, c, order))
+    power = _fast_power(t, m * n + order - kernel.gamma)
+    return (float(np.max(rem * power / side ** order)),
+            float(np.max(np.abs(k) * power / side ** order)))
 
 
 # -- pointwise product bound ----------------------------------------------------

@@ -6,6 +6,9 @@ slope of log(ratio) against log(scale) over a dilation sweep.  A bounded
 implicit constant shows up as a finite max and a near-zero slope; a missing
 or wrong homogeneity shows up as a slope the gate rejects.
 
+Every pass or fail is a ``Gate``, a named value held to a bound; a report
+passes when it has gates and every one passes.
+
 File output is byte-deterministic: floats are written with repr (shortest
 round-trip form), CSV rows in trial order, JSON with sorted keys.  Non-finite
 floats are encoded as the strings "inf", "-inf", "nan" in JSON, which keeps
@@ -20,12 +23,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
+    "Gate",
     "TrialRow",
     "RatioReport",
     "AnnuliReport",
     "ChainStep",
     "ChainReport",
     "trend_slope",
+    "verdict",
     "write_trials_csv",
     "write_report_json",
     "json_safe",
@@ -33,6 +38,60 @@ __all__ = [
 ]
 
 CSV_HEADER = "trial,scale_k,lhs,rhs,ratio"
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One condition a run must meet: ``value relation bound``.
+
+    A nan value fails every relation.  margin is the relative slack,
+    (bound - value)/|bound| for < and <=, (value - bound)/|bound| for > and
+    >=; None where the bound is 0 or infinite.
+    """
+
+    name: str
+    value: float
+    relation: str
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        v, b = self.value, self.bound
+        return bool({"<": v < b, "<=": v <= b, ">": v > b, ">=": v >= b}[self.relation])
+
+    @property
+    def margin(self) -> float | None:
+        if self.bound == 0 or not math.isfinite(self.bound):
+            return None
+        slack = self.bound - self.value if "<" in self.relation else self.value - self.bound
+        return slack / abs(self.bound)
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "value": self.value, "relation": self.relation,
+                "bound": self.bound, "passed": self.passed, "margin": self.margin}
+
+
+def verdict(gates) -> bool:
+    """The one pass rule: at least one gate, and every gate passes."""
+    return bool(gates) and all(g.passed for g in gates)
+
+
+class _Gated:
+    """A report's verdict, and its summary line, read from its gates."""
+
+    @property
+    def passed(self) -> bool:
+        return verdict(self.gates)
+
+    def summary(self) -> str:
+        """Summary plus failed=<names>, or on a pass the least-margin gate."""
+        if not self.passed:
+            failed = ",".join(g.name for g in self.gates if not g.passed)
+            return f"{self._summary()} failed={failed or '(no gates)'}"
+        tight = min((g for g in self.gates if g.margin is not None),
+                    key=lambda g: g.margin, default=None)
+        return self._summary() + (f" tightest={tight.name} margin={tight.margin:.3g}"
+                                  if tight else "")
 
 
 @dataclass(frozen=True)
@@ -80,11 +139,16 @@ def trend_slope(rows) -> float:
     return num / den
 
 
+def _nan_or(fn, values):
+    # min and max of a list that holds a nan depend on where the nan sits
+    return math.nan if any(math.isnan(v) for v in values) else fn(values)
+
+
 @dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Gated):
     """Corpus-level verdict on one inequality.
 
-    passed requires every RHS positive, a finite max ratio, and a trend
+    The gates ask for every RHS positive, a finite max ratio, and a trend
     slope within slope_tol; everything else is recorded, not judged.
     """
 
@@ -94,7 +158,7 @@ class RatioReport:
     max_ratio: float
     mean_ratio: float
     slope: float
-    passed: bool
+    gates: tuple
     metadata: dict = field(default_factory=dict)
 
     @classmethod
@@ -104,26 +168,22 @@ class RatioReport:
         if not rows:
             raise ValueError("a ratio report needs at least one trial row")
         ratios = [r.ratio for r in rows]
-        if any(math.isnan(v) for v in ratios):
-            max_ratio = math.nan
-        else:
-            max_ratio = max(ratios)
+        max_ratio = float(_nan_or(max, ratios))
         finite = [v for v in ratios if math.isfinite(v)]
         mean_ratio = sum(finite) / len(finite) if finite else math.nan
-        slope = trend_slope(rows)
-        passed = (
-            all(r.rhs > 0.0 for r in rows)
-            and math.isfinite(max_ratio)
-            and abs(slope) <= slope_tol
+        slope = float(trend_slope(rows))
+        gates = (
+            Gate("rhs_positive", float(_nan_or(min, [r.rhs for r in rows])), ">", 0.0),
+            Gate("max_ratio_finite", max_ratio, "<", math.inf),
+            Gate("slope", abs(slope), "<=", float(slope_tol)),
         )
-        return cls(experiment, rows, float(slope_tol), float(max_ratio),
-                   float(mean_ratio), float(slope), bool(passed),
-                   dict(metadata or {}))
+        return cls(experiment, rows, float(slope_tol), max_ratio,
+                   float(mean_ratio), slope, gates, dict(metadata or {}))
 
     def trial_rows(self) -> tuple:
         return self.rows
 
-    def summary(self) -> str:
+    def _summary(self) -> str:
         return (f"max_ratio={self.max_ratio:.6g} mean_ratio={self.mean_ratio:.6g} "
                 f"slope={self.slope:.3g} rows={len(self.rows)}")
 
@@ -137,12 +197,13 @@ class RatioReport:
             "trend_slope": self.slope,
             "slope_tol": self.slope_tol,
             "passed": self.passed,
+            "gates": [g.to_json_dict() for g in self.gates],
             "metadata": self.metadata,
         }
 
 
 @dataclass(frozen=True)
-class AnnuliReport:
+class AnnuliReport(_Gated):
     """Two-sided comparison constants for the annular tiling of a cube
     complement; per-level and per-cube intervals expose any drift in the
     index or the scale."""
@@ -156,14 +217,14 @@ class AnnuliReport:
     per_cube: dict
     partition_ok: bool
     scale_drift: float
-    passed: bool
+    gates: tuple
     rows: tuple = ()
     metadata: dict = field(default_factory=dict)
 
     def trial_rows(self) -> tuple:
         return self.rows
 
-    def summary(self) -> str:
+    def _summary(self) -> str:
         return (f"lower={self.lower:.6g} upper={self.upper:.6g} "
                 f"partition={self.partition_ok}")
 
@@ -180,6 +241,7 @@ class AnnuliReport:
             "partition_ok": self.partition_ok,
             "scale_drift": self.scale_drift,
             "passed": self.passed,
+            "gates": [g.to_json_dict() for g in self.gates],
             "metadata": self.metadata,
         }
 
@@ -188,8 +250,8 @@ class AnnuliReport:
 class ChainStep:
     """One inequality or identity inside a proof chain, as measured.
 
-    constant is LHS/RHS, so a step asserting LHS <= C * RHS is healthy when
-    constant <= C; bound is the cap the step is held to (None = record only).
+    constant is LHS/RHS; bound is the cap C of a step asserting
+    LHS <= C * RHS, None for an identity, whose gate holds its residual.
     """
 
     name: str
@@ -197,7 +259,7 @@ class ChainStep:
     rhs: float
     constant: float
     bound: float | None
-    ok: bool
+    gate: Gate
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,19 +268,19 @@ class ChainStep:
             "rhs": self.rhs,
             "constant": self.constant,
             "bound": self.bound,
-            "ok": self.ok,
+            "ok": self.gate.passed,
         }
 
 
 @dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_Gated):
     """Measured constants for every link of a constructive proof chain."""
 
     experiment: str
     steps: tuple
     final_constant: float
     hypothesis_constant: float
-    passed: bool
+    gates: tuple
     metadata: dict = field(default_factory=dict)
 
     @classmethod
@@ -226,14 +288,14 @@ class ChainReport:
                    hypothesis_constant: float,
                    metadata: dict | None = None) -> "ChainReport":
         steps = tuple(steps)
-        passed = (
-            bool(steps)
-            and all(st.ok for st in steps)
-            and math.isfinite(final_constant)
-            and math.isfinite(hypothesis_constant)
-        )
-        return cls(experiment, steps, float(final_constant),
-                   float(hypothesis_constant), passed, dict(metadata or {}))
+        final_constant, hypothesis_constant = float(final_constant), float(hypothesis_constant)
+        # a chain with no steps gets no gates, so it cannot pass
+        gates = tuple(st.gate for st in steps) + (
+            Gate("final_finite", final_constant, "<", math.inf),
+            Gate("hypothesis_finite", hypothesis_constant, "<", math.inf),
+        ) if steps else ()
+        return cls(experiment, steps, final_constant, hypothesis_constant,
+                   gates, dict(metadata or {}))
 
     def trial_rows(self) -> tuple:
         return tuple(
@@ -241,7 +303,7 @@ class ChainReport:
             for i, st in enumerate(self.steps)
         )
 
-    def summary(self) -> str:
+    def _summary(self) -> str:
         return f"final={self.final_constant:.6g} steps={len(self.steps)}"
 
     def to_json_dict(self) -> dict:
@@ -252,6 +314,7 @@ class ChainReport:
             "final_constant": self.final_constant,
             "hypothesis_constant": self.hypothesis_constant,
             "passed": self.passed,
+            "gates": [g.to_json_dict() for g in self.gates],
             "metadata": self.metadata,
         }
 

@@ -22,6 +22,17 @@ STAR = {
     "corpus": {"seed": 3, "count": 4},
     "sweep": {"k_min": -1, "k_max": 1},
 }
+ANNULI = {
+    "experiment": "annuli", "s": 2.0,
+    "corpus": {"seed": 3, "count": 6, "side_exponents": [-2, 0]},
+    "sweep": {"k_min": -1, "k_max": 1},
+}
+CHAIN = {
+    "experiment": "extrapolation", "m": 2, "gamma": 0.25,
+    "exponents": [4.0, 4.0],
+    "grid": {"box": [[-8, 8]], "h": 0.03125},
+    "corpus": {"seed": 7, "count": 1, "atoms_per_trial": [2, 2]},
+}
 
 
 def run_python(*argv, timeout):
@@ -44,6 +55,14 @@ def write_config(tmp_path, payload, name="c.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def tightest(report):
+    """The suffix a passing verdict line carries: the gate with the least
+    margin, read from the written report."""
+    g = min((g for g in report["gates"] if g["margin"] is not None),
+            key=lambda g: g["margin"])
+    return f"tightest={g['name']} margin={g['margin']:.3g}"
 
 
 class TestVerify:
@@ -161,13 +180,7 @@ class TestVerify:
         assert "epsilon" in capsys.readouterr().err
 
     def test_chain_report_summary(self, tmp_path, capsys):
-        payload = {
-            "experiment": "extrapolation", "m": 2, "gamma": 0.25,
-            "exponents": [4.0, 4.0],
-            "grid": {"box": [[-8, 8]], "h": 0.03125},
-            "corpus": {"seed": 7, "count": 1, "atoms_per_trial": [2, 2]},
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, CHAIN)
         assert cli_main(["verify", "extrapolation", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
         path = tmp_path / "extrapolation.report.json"
@@ -175,7 +188,7 @@ class TestVerify:
         assert report["kind"] == "chain" and report["passed"] is True
         assert capsys.readouterr().out == (
             f"extrapolation: PASS final={report['final_constant']:.6g} "
-            f"steps={len(report['steps'])} -> {path}\n")
+            f"steps={len(report['steps'])} {tightest(report)} -> {path}\n")
 
     def test_ratio_report_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, STAR)
@@ -187,13 +200,11 @@ class TestVerify:
         assert capsys.readouterr().out == (
             f"star-sum: PASS max_ratio={report['max_ratio']:.6g} "
             f"mean_ratio={report['mean_ratio']:.6g} "
-            f"slope={report['trend_slope']:.3g} rows=12 -> {path}\n")
+            f"slope={report['trend_slope']:.3g} rows=12 {tightest(report)} "
+            f"-> {path}\n")
 
     def test_annuli_report_summary(self, tmp_path, capsys):
-        payload = {"experiment": "annuli", "s": 2.0,
-                   "corpus": {"seed": 3, "count": 6, "side_exponents": [-2, 0]},
-                   "sweep": {"k_min": -1, "k_max": 1}}
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, ANNULI)
         assert cli_main(["verify", "annuli", "--config", cfg,
                          "--out", str(tmp_path)]) == 0
         path = tmp_path / "annuli.report.json"
@@ -201,7 +212,8 @@ class TestVerify:
         assert report["kind"] == "annuli"
         assert capsys.readouterr().out == (
             f"annuli: PASS lower={report['lower']:.6g} "
-            f"upper={report['upper']:.6g} partition=True -> {path}\n")
+            f"upper={report['upper']:.6g} partition=True {tightest(report)} "
+            f"-> {path}\n")
 
     @pytest.mark.parametrize("payload, message", [
         (dict(STAR, weights=[{"kind": "power", "exponent": -0.25,
@@ -337,6 +349,44 @@ class TestWeightConst:
         assert "= -3 tiles the window (0.0, 0.3)" in err
 
 
+class TestFailedGateNamed:
+    """One forced failure per report kind: exit 1, and the verdict line
+    names exactly the gates the written report says failed."""
+
+    def failed(self, tmp_path, capsys, payload):
+        experiment = payload["experiment"]
+        cfg = write_config(tmp_path, payload)
+        assert cli_main(["verify", experiment, "--config", cfg,
+                         "--out", str(tmp_path)]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith(f"{experiment}: FAIL ")
+        report = json.loads((tmp_path / f"{experiment}.report.json").read_text())
+        named = line.split(" failed=")[1].split(" -> ")[0].split(",")
+        assert report["passed"] is False
+        assert named == [g["name"] for g in report["gates"] if not g["passed"]]
+        return named
+
+    def test_ratio_slope(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fracharm.reports, "trend_slope", lambda rows: 1.0)
+        assert self.failed(tmp_path, capsys, STAR) == ["slope"]
+
+    def test_annuli_band_lower(self, tmp_path, capsys, monkeypatch):
+        honest = fracharm.experiments._annuli_scan
+
+        def low(*args):
+            pieces, exact = honest(*args)
+            return [(level, 0.99 * lo, hi) for level, lo, hi in pieces], exact
+
+        monkeypatch.setattr(fracharm.experiments, "_annuli_scan", low)
+        assert self.failed(tmp_path, capsys, ANNULI) == ["band_lower"]
+
+    def test_chain_witness_modular(self, tmp_path, capsys, monkeypatch):
+        honest = fracharm.experiments.dual_witness
+        monkeypatch.setattr(fracharm.experiments, "dual_witness",
+                            lambda G, qbar: honest(G, qbar) * 3.0)
+        assert "witness_modular" in self.failed(tmp_path, capsys, CHAIN)
+
+
 class TestKernelCheck:
     def test_model_kernel_constants(self, capsys):
         code = cli_main(["kernel-check", "--m", "2", "--n", "1",
@@ -354,8 +404,13 @@ class TestKernelCheck:
         # frac_hardy_unit's kernel: m = 2, n = 1, gamma = 1/2, order N + 1 = 2
         code = cli_main(["kernel-check", "--m", "2", "--n", "1",
                          "--gamma", "0.5", "--order", "2", "--seed", "11"])
-        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        payload = json.loads(capsys.readouterr().out)
+        diag = payload["diagnostics"]
         assert code == 0
+        assert [(g["name"], g["value"], g["relation"], g["bound"], g["passed"])
+                for g in payload["gates"]] == [
+            ("product_drift", diag["product_drift"], "<=", DRIFT_TOL, True),
+            ("taylor_drift", diag["taylor_drift"], "<=", DRIFT_TOL, True)]
         assert diag["configs"] == DIAGNOSTIC_CONFIGS == 20
         assert diag["drift_tol"] == DRIFT_TOL
         assert diag["product_drift"] <= DRIFT_TOL
@@ -371,6 +426,30 @@ class TestKernelCheck:
     def test_largest_shapes_pass(self, capsys, argv):
         assert cli_main(["kernel-check", *argv]) == 0
 
+    def test_gamma_near_mn_passes(self, capsys):
+        # a valid kernel whose Taylor remainder is mostly cancellation, so
+        # the kernel's rounding is large against the remainder itself
+        assert cli_main(["kernel-check", "--m", "4", "--n", "1",
+                         "--gamma", "3.999", "--order", "3"]) == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["taylor_drift"] <= 1e-14
+
+    def test_scale_dependent_taylor_remainder_exits_one(self, capsys, monkeypatch):
+        # a remainder that grows by a factor 1 + 1e-3 per dilation by 2
+        honest = fracharm.cli.taylor_remainder_check
+
+        def skewed(kernel, cube, slot, order, **kwargs):
+            rem, term = honest(kernel, cube, slot, order, **kwargs)
+            return rem * cube.side ** math.log2(1.0 + 1e-3), term
+
+        monkeypatch.setattr(fracharm.cli, "taylor_remainder_check", skewed)
+        code = cli_main(["kernel-check", "--m", "2", "--n", "1",
+                         "--gamma", "0.5", "--order", "1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [g["name"] for g in payload["gates"] if not g["passed"]] == [
+            "taylor_drift"]
+
     def test_scale_dependent_product_bound_exits_one(self, capsys, monkeypatch):
         # a product bound that grows with the grid step is not dilation
         # covariant: the drift gate must see it
@@ -382,10 +461,13 @@ class TestKernelCheck:
         monkeypatch.setattr(fracharm.cli, "local_product_bound_check", skewed)
         code = cli_main(["kernel-check", "--m", "2", "--n", "1",
                          "--gamma", "0.5"])
-        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        payload = json.loads(capsys.readouterr().out)
+        diag = payload["diagnostics"]
         assert code == 1
         assert diag["product_drift"] > DRIFT_TOL
         assert diag["taylor_drift"] <= DRIFT_TOL
+        assert [g["name"] for g in payload["gates"] if not g["passed"]] == [
+            "product_drift"]
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_product_bound_not_positive_finite_exits_one(self, capsys, monkeypatch,

@@ -411,7 +411,7 @@ class TestExtrapolation:
     def test_domination_step_holds(self):
         rep = run_experiment(make(EXTRAP_BASE))
         dom = next(s for s in rep.steps if s.name == "iteration_domination")
-        assert dom.ok and dom.constant <= 1.0 + 1e-9
+        assert dom.gate.passed and dom.constant <= 1.0 + 1e-9
 
     def test_witness_modular_is_one(self):
         rep = run_experiment(make(EXTRAP_BASE))

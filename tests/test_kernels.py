@@ -8,11 +8,11 @@ from fracharm.grid import Cube, GridFunction, GridMismatchError
 from fracharm.kernels import (
     KenigSteinKernel,
     _subdivision_profile_sum,
+    _taylor_polynomial,
     apply_frac_operator,
     kernel_size_check,
     kernel_smoothness_check,
     local_product_bound_check,
-    taylor_polynomial,
     taylor_remainder_check,
 )
 
@@ -373,61 +373,66 @@ class TestSmoothnessCheck:
 
 
 class TestTaylor:
+    X = np.array([[2.0]])
+    CENTER = np.array([0.0])
+
     def test_zeroth_coefficient_is_kernel_value(self):
-        k = ks(1, 1, 0.5)
-        td = taylor_polynomial(k, 0, (0.0,), 1)
-        x = np.array([[2.0]])
-        ys = np.array([[[0.1]]])
-        c = td.coefficients(x, ys)
-        assert c[(0,)][0] == pytest.approx(2.0 ** -0.5, rel=1e-14)
+        # at order 1 the polynomial is its zeroth coefficient alone
+        p = _taylor_polynomial(ks(1, 1, 0.5), self.X, np.array([[[0.1]]]), 0,
+                               self.CENTER, 1)
+        assert p[0] == pytest.approx(2.0 ** -0.5, rel=1e-14)
 
     def test_first_coefficient_matches_hand_derivative(self):
         k = ks(1, 1, 0.5, order=2)
-        td = taylor_polynomial(k, 0, (0.0,), 2)
-        x = np.array([[2.0]])
-        ys = np.array([[[0.1]]])
-        c = td.coefficients(x, ys)
+        p = _taylor_polynomial(k, self.X, np.array([[[0.1]]]), 0, self.CENTER, 2)
+        first = (p[0] - k.evaluate(self.X, np.array([[[0.0]]]))[0]) / 0.1
         # d/dy |x-y|^(-1/2) at y=0, x=2 is +0.5 * 2^(-3/2)
-        assert c[(1,)][0] == pytest.approx(0.5 * 2.0 ** -1.5, rel=2e-3)
+        assert first == pytest.approx(0.5 * 2.0 ** -1.5, rel=2e-3)
 
     def test_remainder_zero_at_center(self):
         k = ks(1, 1, 0.5)
-        td = taylor_polynomial(k, 0, (0.0,), 1)
-        x = np.array([[2.0]])
         ys = np.array([[[0.0]]])
-        rem = k.evaluate(x, ys) - td.evaluate(x, ys)
+        rem = k.evaluate(self.X, ys) - _taylor_polynomial(k, self.X, ys, 0,
+                                                          self.CENTER, 1)
         assert rem[0] == 0.0
 
     def test_first_order_ratio_band(self):
         # sup over admissible configurations is 0.375 in the far limit sense;
         # the x-near-star corner pushes it to about 0.337, never past 0.375
-        k = ks(1, 1, 0.5)
-        q = Cube((0.0,), 1.0)
-        td = taylor_polynomial(k, 0, q.center, 1)
-        r = taylor_remainder_check(k, td, q, n_samples=400, seed=2)
+        r, _ = taylor_remainder_check(ks(1, 1, 0.5), Cube((0.0,), 1.0), 0, 1,
+                                      n_samples=400, seed=2)
         assert 0.15 <= r <= 0.375 * 1.05
 
     def test_dilation_sweep_invariance(self):
-        k = ks(1, 1, 0.5)
-        vals = []
-        for side in (0.5, 1.0, 2.0):
-            q = Cube((0.0,), side)
-            td = taylor_polynomial(k, 0, q.center, 1)
-            vals.append(taylor_remainder_check(k, td, q, n_samples=200, seed=3))
-        assert max(vals) <= min(vals) * (1 + 1e-9)
+        # the remainder and the kernel term are both dilation invariant
+        vals = [taylor_remainder_check(ks(1, 1, 0.5), Cube((0.0,), side), 0, 1,
+                                       n_samples=200, seed=3)
+                for side in (0.5, 1.0, 2.0)]
+        for column in zip(*vals):
+            assert max(column) <= min(column) * (1 + 1e-9)
+
+    def test_remainder_small_against_kernel_term_near_mn(self):
+        # near gamma = mn the kernel flattens, so the remainder is a small
+        # share of the kernel term: that term is the scale of its rounding
+        far = taylor_remainder_check(ks(1, 1, 0.5), Cube((0.0,), 1.0), 0, 1, seed=3)
+        near = taylor_remainder_check(ks(1, 1, 0.999), Cube((0.0,), 1.0), 0, 1, seed=3)
+        assert 0.01 < far[0] / far[1] < 1.0
+        assert 0.0 < near[0] / near[1] < 1e-2
 
     def test_bilinear_remainder_finite(self):
-        k = ks(2, 1, 1.0)
-        q = Cube((0.0,), 1.0)
-        td = taylor_polynomial(k, 0, q.center, 2)
-        r = taylor_remainder_check(k, td, q, n_samples=150, seed=4)
-        assert math.isfinite(r) and r > 0
+        r, term = taylor_remainder_check(ks(2, 1, 1.0), Cube((0.0,), 1.0), 0, 2,
+                                         n_samples=150, seed=4)
+        assert math.isfinite(r) and r > 0 and math.isfinite(term) and term > 0
 
-    def test_center_mismatch_rejected(self):
-        k = ks(1, 1, 0.5)
-        td = taylor_polynomial(k, 0, (0.0,), 1)
+    @pytest.mark.parametrize("cube, slot, order", [
+        (Cube((0.0, 0.0), 1.0), 0, 1),
+        (Cube((0.0,), 1.0), 1, 1),
+        (Cube((0.0,), 1.0), -1, 1),
+        (Cube((0.0,), 1.0), 0, 0),
+    ], ids=["cube-dimension", "slot-above", "slot-below", "order-zero"])
+    def test_bad_arguments_rejected(self, cube, slot, order):
         with pytest.raises(ValueError):
-            taylor_remainder_check(k, td, Cube((1.0,), 1.0))
+            taylor_remainder_check(ks(1, 1, 0.5), cube, slot, order)
 
 
 class TestLocalProductBound:

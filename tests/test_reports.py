@@ -10,10 +10,12 @@ from fracharm.reports import (
     AnnuliReport,
     ChainReport,
     ChainStep,
+    Gate,
     RatioReport,
     TrialRow,
     json_safe,
     trend_slope,
+    verdict,
     write_report_json,
     write_trials_csv,
 )
@@ -22,6 +24,41 @@ from fracharm.reports import (
 def rows_with_slope(a: float, ks=(-2, -1, 0, 1, 2)):
     # ratio = 2^(a*k) gives a log-log slope of exactly a
     return [TrialRow.make(0, k, 2.0 ** (a * k), 1.0) for k in ks]
+
+
+def bounded_step(name, constant, bound):
+    return ChainStep(name, constant, 1.0, constant, bound,
+                     Gate(name, constant, "<=", bound))
+
+
+def gate(report, name):
+    return next(g for g in report.gates if g.name == name)
+
+
+class TestGate:
+    @pytest.mark.parametrize("relation, value, bound, margin", [
+        ("<=", 1.5, 2.0, 0.25),
+        ("<", 3.0, 2.0, -0.5),
+        (">=", 0.12, 0.1, 0.2),
+        (">", 0.5, -1.0, 1.5),
+    ])
+    def test_margin_is_relative_slack(self, relation, value, bound, margin):
+        g = Gate("g", value, relation, bound)
+        assert g.margin == pytest.approx(margin)
+        assert g.passed is (margin > 0)
+
+    @pytest.mark.parametrize("bound", [0.0, math.inf])
+    def test_margin_null_at_zero_or_infinite_bound(self, bound):
+        assert Gate("g", 1.0, "<", bound).margin is None
+
+    @pytest.mark.parametrize("relation", ["<", "<=", ">", ">="])
+    def test_nan_fails_every_relation(self, relation):
+        assert not Gate("g", math.nan, relation, 1.0).passed
+
+    def test_no_gates_never_passes(self):
+        assert verdict(()) is False
+        rep = AnnuliReport("ann", 2.0, (1 / 9, 9.0), 0.2, 0.9, {}, {}, True, 0.0, ())
+        assert not rep.passed and rep.summary().endswith(" failed=(no gates)")
 
 
 class TestTrialRow:
@@ -66,6 +103,22 @@ class TestRatioReport:
         rep = RatioReport.from_rows("x", rows, 0.1)
         assert math.isnan(rep.max_ratio) and not rep.passed
 
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_nan_rhs_fails_wherever_it_sits(self, where):
+        # min over a list holding a nan depends on where the nan sits
+        rows = rows_with_slope(0.0)
+        rows[where] = TrialRow.make(0, rows[where].scale_k, 1.0, math.nan)
+        rep = RatioReport.from_rows("x", rows, 0.1)
+        assert math.isnan(gate(rep, "rhs_positive").value)
+        assert not gate(rep, "rhs_positive").passed and not rep.passed
+        assert "rhs_positive" in rep.summary().split("failed=")[1].split(",")
+
+    def test_summary_names_the_tightest_gate(self):
+        rep = RatioReport.from_rows("x", rows_with_slope(0.05), 0.1)
+        assert [g.name for g in rep.gates] == ["rhs_positive", "max_ratio_finite",
+                                               "slope"]
+        assert rep.summary().endswith(" tightest=slope margin=0.5")
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):
             RatioReport.from_rows("x", [], 0.1)
@@ -80,22 +133,26 @@ class TestRatioReport:
 
 class TestChainReport:
     def test_pass_needs_every_step_ok(self):
-        ok = ChainStep("a", 1.0, 1.0, 1.0, 2.0, True)
-        bad = ChainStep("b", 3.0, 1.0, 3.0, 2.0, False)
+        ok = bounded_step("a", 1.0, 2.0)
+        bad = bounded_step("b", 3.0, 2.0)
+        assert ok.to_json_dict()["ok"] is True and bad.to_json_dict()["ok"] is False
         assert ChainReport.from_steps("x", [ok], 1.0, 1.0).passed
-        assert not ChainReport.from_steps("x", [ok, bad], 1.0, 1.0).passed
+        failed = ChainReport.from_steps("x", [ok, bad], 1.0, 1.0)
+        assert not failed.passed and failed.summary().endswith(" failed=b")
         assert not ChainReport.from_steps("x", [], 1.0, 1.0).passed
 
     def test_nonfinite_constant_fails(self):
-        ok = ChainStep("a", 1.0, 1.0, 1.0, None, True)
-        assert not ChainReport.from_steps("x", [ok], math.inf, 1.0).passed
+        ok = bounded_step("a", 1.0, 2.0)
+        rep = ChainReport.from_steps("x", [ok], math.inf, 1.0)
+        assert not rep.passed and rep.summary().endswith(" failed=final_finite")
+        rep = ChainReport.from_steps("x", [ok], 1.0, math.nan)
+        assert rep.summary().endswith(" failed=hypothesis_finite")
 
     def test_trial_rows_mirror_steps(self):
-        steps = [ChainStep("a", 2.0, 1.0, 2.0, None, True),
-                 ChainStep("b", 3.0, 2.0, 1.5, None, True)]
+        steps = [bounded_step("a", 2.0, 4.0), bounded_step("b", 1.5, 4.0)]
         rows = ChainReport.from_steps("x", steps, 1.0, 1.0).trial_rows()
         assert [(r.trial, r.lhs, r.rhs, r.ratio) for r in rows] == [
-            (0, 2.0, 1.0, 2.0), (1, 3.0, 2.0, 1.5)]
+            (0, 2.0, 1.0, 2.0), (1, 1.5, 1.0, 1.5)]
 
 
 class TestJsonSafe:
@@ -141,7 +198,8 @@ class TestFileEmission:
     def test_annuli_report_json(self, tmp_path):
         rep = AnnuliReport("ann", 2.0, (1 / 9, 9.0), 0.2, 0.9,
                            {0: (0.2, 0.9)}, {0: (0.2, 0.9)},
-                           True, 0.0, True)
+                           True, 0.0, (Gate("band_lower", 0.2, ">=", 1 / 9),))
         d = rep.to_json_dict()
         assert d["kind"] == "annuli" and d["per_level"] == {"0": [0.2, 0.9]}
+        assert d["passed"] is True and d["gates"][0]["margin"] == pytest.approx(0.8)
         write_report_json(tmp_path / "a.json", rep)

@@ -313,7 +313,7 @@ def reference_family(window, j_min, j_max):
         for combo in itertools.product((0.0, 1.0 / 3.0, 2.0 / 3.0), repeat=q.dim):
             if all(s == 0.0 for s in combo):
                 continue
-            t = q.translated(tuple(s * q.side for s in combo))
+            t = Cube(tuple(c + s * q.side for c, s in zip(q.center, combo)), q.side)
             if all(t.lo[k] >= window[k][0] - tol and t.hi[k] <= window[k][1] + tol
                    for k in range(q.dim)):
                 out.append(t)
