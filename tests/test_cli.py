@@ -432,21 +432,28 @@ class TestKernelCheck:
         assert cli_main(["kernel-check", "--m", "4", "--n", "1",
                          "--gamma", "3.999", "--order", "3"]) == 0
         diag = json.loads(capsys.readouterr().out)["diagnostics"]
-        assert diag["taylor_drift"] <= 1e-14
+        assert diag["taylor_drift"] <= DRIFT_TOL / 10
 
-    def test_scale_dependent_taylor_remainder_exits_one(self, capsys, monkeypatch):
-        # a remainder that grows by a factor 1 + 1e-3 per dilation by 2
+    @pytest.mark.parametrize("argv, skew", [
+        (["--m", "2", "--n", "1", "--gamma", "0.5", "--order", "1"], 1e-3),
+        (["--m", "4", "--n", "1", "--gamma", "3", "--order", "3"], 1e-4),
+    ], ids=["gamma-quarter-mn", "gamma-three-quarters-mn"])
+    def test_scale_dependent_taylor_remainder_exits_one(self, capsys, monkeypatch,
+                                                        argv, skew):
+        # a remainder that grows by a factor 1 + skew per dilation by 2; up to
+        # gamma = 3/4 mn the remainder clears the rounding floor, so the
+        # drift is the skew itself
         honest = fracharm.cli.taylor_remainder_check
 
         def skewed(kernel, cube, slot, order, **kwargs):
             rem, term = honest(kernel, cube, slot, order, **kwargs)
-            return rem * cube.side ** math.log2(1.0 + 1e-3), term
+            return rem * cube.side ** math.log2(1.0 + skew), term
 
         monkeypatch.setattr(fracharm.cli, "taylor_remainder_check", skewed)
-        code = cli_main(["kernel-check", "--m", "2", "--n", "1",
-                         "--gamma", "0.5", "--order", "1"])
+        code = cli_main(["kernel-check", *argv])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
+        assert payload["diagnostics"]["taylor_drift"] == pytest.approx(skew, rel=1e-6)
         assert [g["name"] for g in payload["gates"] if not g["passed"]] == [
             "taylor_drift"]
 

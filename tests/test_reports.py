@@ -149,10 +149,11 @@ class TestChainReport:
         assert rep.summary().endswith(" failed=hypothesis_finite")
 
     def test_trial_rows_mirror_steps(self):
-        steps = [bounded_step("a", 2.0, 4.0), bounded_step("b", 1.5, 4.0)]
+        steps = [bounded_step("a", 2.0, 4.0),
+                 ChainStep("b", 3.0, 2.0, 1.5, None, Gate("b", 1.5, "<=", 4.0))]
         rows = ChainReport.from_steps("x", steps, 1.0, 1.0).trial_rows()
         assert [(r.trial, r.lhs, r.rhs, r.ratio) for r in rows] == [
-            (0, 2.0, 1.0, 2.0), (1, 1.5, 1.0, 1.5)]
+            (0, 2.0, 1.0, 2.0), (1, 3.0, 2.0, 1.5)]
 
 
 class TestJsonSafe:
