@@ -238,7 +238,7 @@ def _pointwise_diagnostics(kernel: KenigSteinKernel, order: int, seed: int) -> d
         tay_seed = int(rng.integers(1 << 31))
         prod, tay = [], []
         for s in (1.0, 2.0):
-            cubes_s = [q.scaled(s, about=(0.0,) * n) for q in cubes]
+            cubes_s = [q.scaled(s) for q in cubes]
             prod.append(local_product_bound_check(
                 kernel, cubes_s, split, x * s, box=((-half * s, half * s),) * n,
                 h=h * s))

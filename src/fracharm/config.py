@@ -29,7 +29,7 @@ Top-level keys:
   corpus             {seed, count, atoms_per_trial, side_exponents,
                       lambda_range}
   grid               {box: [[lo, hi], ...], h}
-  sweep              {k_min, k_max} or {ks: [..]}
+  sweep              {k_min, k_max} or {ks: [..]}; must contain k = 0
   tolerances         {slope_tol}
 
 The vanishing-moment order and the scalar Hardy exponents of the
@@ -312,6 +312,9 @@ class ExperimentConfig:
             if k_min > k_max:
                 raise ConfigError("k_min exceeds k_max", "sweep")
             ks = tuple(range(k_min, k_max + 1))
+        if 0 not in ks:
+            # the base scale is where the drifts are measured from
+            raise ConfigError("must contain the base scale k = 0", "sweep")
 
         tols = _as_object(d.get("tolerances", {}), "tolerances", {"slope_tol"})
         slope_tol = _as_number(tols.get("slope_tol", 0.1), "tolerances.slope_tol",

@@ -18,8 +18,11 @@ HypothesisError; a config that violates them never produces a report.
 Weights are dilated and sampled once per sweep scale, before the trials
 (``_weight_grids``), and every trial at that scale reads the same grid.
 
-Trials run one after another in trial order, in one thread, so reports and
-CSV files are byte-deterministic for a given config and seed.  A trial whose
+Every ratio run hands ``_ratio_report``, the one loop over trials and sweep
+scales, a ``draw(t)`` that builds trial t's data once at base scale and a
+``measure`` that returns its rows at one sweep scale.  Trials run in trial
+order, each through the sweep in order, in one thread, so reports and CSV
+files are byte-deterministic for a given config and seed.  A trial whose
 side overflows to inf or nan is refused with a HypothesisError naming the
 trial and scale, never scored.
 """
@@ -94,7 +97,7 @@ def _dilated(obj, k: int):
         return obj
     s = 2.0 ** k
     if isinstance(obj, Cube):
-        return obj.scaled(s, about=(0.0,) * obj.dim)
+        return obj.scaled(s)
     if isinstance(obj, GridFunction):
         return GridFunction(_dilated(obj.box, k), obj.h * s, obj.samples)
     if isinstance(obj, Weight):
@@ -201,31 +204,38 @@ def _lebesgue_pair(cfg: ExperimentConfig):
 
 
 def _dilation_drift(rows) -> float:
-    """Max over trials of the relative spread of the ratio across the sweep."""
-    base = {}
-    for r in rows:
-        if r.scale_k == 0:
-            base[r.trial] = r.ratio
+    """Max over trials of the relative spread of the ratio across the sweep,
+    against each trial's ratio at k = 0, which every sweep contains."""
+    base = {r.trial: r.ratio for r in rows if r.scale_k == 0}
     worst = 0.0
     for r in rows:
-        b = base.get(r.trial)
-        if b and math.isfinite(b) and b > 0 and math.isfinite(r.ratio):
+        b = base[r.trial]
+        if 0 < b < math.inf and math.isfinite(r.ratio):
             worst = max(worst, abs(r.ratio / b - 1.0))
     return worst
 
 
-def _ratio_report(name: str, cfg: ExperimentConfig, one_trial, metadata) -> RatioReport:
-    """Run one_trial over the corpus in trial order, refuse any row with a
-    non-finite side, and score the rows.  ``metadata()`` runs once every
-    trial is done, so it can read the side-records the trials fill in."""
+def _ratio_report(name: str, cfg: ExperimentConfig, draw, measure,
+                  metadata) -> RatioReport:
+    """The one loop over trials and sweep scales of every ratio run.  For
+    each trial t in order, ``draw(t)`` builds the trial's data at base scale
+    once, and ``measure(t, data, k, box_k, h_k)`` returns the rows of scale
+    k as (trial, lhs, rhs) triples, for each k in sweep order.  Once a trial
+    is measured, its first row with a non-finite side refuses the run;
+    otherwise the rows are scored.  ``metadata()`` runs once every trial is
+    done, so it can read the side-records that ``measure`` fills in."""
     rows = []
     for t in range(cfg.corpus.count):
-        for r in one_trial(t):
+        data = draw(t)
+        trial = [TrialRow.make(i, k, lhs, rhs)
+                 for k, box_k, h_k in _sweep(cfg)
+                 for i, lhs, rhs in measure(t, data, k, box_k, h_k)]
+        for r in trial:
             if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
                 raise HypothesisError(
                     f"overflow: a side is not finite at trial {r.trial}, "
                     f"scale k={r.scale_k} (lhs={r.lhs!r}, rhs={r.rhs!r})")
-            rows.append(r)
+        rows += trial
     meta = dict(metadata(), dilation_drift=_dilation_drift(rows))
     return RatioReport.from_rows(name, rows, cfg.slope_tol, meta)
 
@@ -284,21 +294,19 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
     w_qp = _weight_grids(cfg, (w, q / p))
     w_p = _weight_grids(cfg, (w, 1.0))
 
-    def one_trial(t: int):
-        cubes, lambdas = _indicator_corpus(
-            cfg, np.random.default_rng([cfg.corpus.seed, 1, t]))
-        rows = []
-        for k, box_k, h_k in _sweep(cfg):
-            cubes_k = [_dilated(c, k) for c in cubes]
-            f_lhs = _indicator_sum(cubes_k, lambdas, box_k, h_k,
-                                   star=True, side_power=gamma)
-            f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
-            lhs = weighted_lp_quasinorm(f_lhs, q, w_qp[k])
-            rhs = weighted_lp_quasinorm(f_rhs, p, w_p[k])
-            rows.append(TrialRow.make(t, k, lhs, rhs))
-        return rows
+    def draw(t: int):
+        return _indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 1, t]))
 
-    return _ratio_report("star-sum", cfg, one_trial, lambda: {
+    def measure(t: int, corpus, k: int, box_k, h_k: float):
+        cubes, lambdas = corpus
+        cubes_k = [_dilated(c, k) for c in cubes]
+        f_lhs = _indicator_sum(cubes_k, lambdas, box_k, h_k,
+                               star=True, side_power=gamma)
+        f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
+        return [(t, weighted_lp_quasinorm(f_lhs, q, w_qp[k]),
+                 weighted_lp_quasinorm(f_rhs, p, w_p[k]))]
+
+    return _ratio_report("star-sum", cfg, draw, measure, lambda: {
         "p": p, "q": q, "gamma": gamma, "n": n,
         "weight": w.descriptor(),
         "rh": rh.to_json_dict(),
@@ -356,46 +364,43 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
     w_p = _weight_grids(cfg, (w, 1.0))
     tail_shares = [0.0] * cfg.corpus.count
 
-    def one_trial(t: int):
-        cubes, lambdas = _indicator_corpus(
-            cfg, np.random.default_rng([cfg.corpus.seed, 2, t]))
-        rows = []
-        for k, box_k, h_k in _sweep(cfg):
-            cubes_k = [_dilated(c, k) for c in cubes]
-            zero = GridFunction.zeros(box_k, h_k)
-            x = zero.coords()[..., 0]
-            acc = np.zeros_like(x)
-            for cube, lam in zip(cubes_k, lambdas):
-                outside = ~cube.star().contains(zero.coords())
-                d = np.where(outside, np.abs(x - cube.center[0]), 1.0)
-                acc = acc + (lam * cube.side ** eps) * outside * d ** (gamma - eps)
-            lhs_win = weighted_lp_quasinorm(zero.with_samples(acc), q, w_qp[k])
+    def draw(t: int):
+        return _indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 2, t]))
 
-            # beyond the box: per-cube closed-form bound, using
-            # |x|^b <= theta^b * |x - c|^b on each side of the box
-            lo_k, hi_k = box_k[0]
-            tail_terms = []
-            for cube, lam in zip(cubes_k, lambdas):
-                c = cube.center[0]
-                amp = lam * cube.side ** eps
-                for dist, edge in ((hi_k - c, abs(hi_k)), (c - lo_k, abs(lo_k))):
-                    theta = max(1.0, edge / dist)
-                    integral = (w_gain * theta ** b_eff
-                                * _power_tail_integral(dist, a - b_eff))
-                    tail_terms.append(amp ** q * integral)
-            # the tails live beyond the box, disjoint from the window part,
-            # so the q-th-power modulars add exactly for every q > 0
-            total = (lhs_win ** q + sum(tail_terms)) ** (1.0 / q)
-            tail_part = total - lhs_win
+    def measure(t: int, corpus, k: int, box_k, h_k: float):
+        cubes, lambdas = corpus
+        cubes_k = [_dilated(c, k) for c in cubes]
+        zero = GridFunction.zeros(box_k, h_k)
+        x = zero.coords()[..., 0]
+        acc = np.zeros_like(x)
+        for cube, lam in zip(cubes_k, lambdas):
+            outside = ~cube.star().contains(zero.coords())
+            d = np.where(outside, np.abs(x - cube.center[0]), 1.0)
+            acc = acc + (lam * cube.side ** eps) * outside * d ** (gamma - eps)
+        lhs_win = weighted_lp_quasinorm(zero.with_samples(acc), q, w_qp[k])
 
-            f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
-            rhs = weighted_lp_quasinorm(f_rhs, p, w_p[k])
-            rows.append(TrialRow.make(t, k, total, rhs))
-            if k == 0 and total > 0:
-                tail_shares[t] = tail_part / total
-        return rows
+        # beyond the box: per-cube closed-form bound, using
+        # |x|^b <= theta^b * |x - c|^b on each side of the box
+        lo_k, hi_k = box_k[0]
+        tail_terms = []
+        for cube, lam in zip(cubes_k, lambdas):
+            c = cube.center[0]
+            amp = lam * cube.side ** eps
+            for dist, edge in ((hi_k - c, abs(hi_k)), (c - lo_k, abs(lo_k))):
+                theta = max(1.0, edge / dist)
+                integral = (w_gain * theta ** b_eff
+                            * _power_tail_integral(dist, a - b_eff))
+                tail_terms.append(amp ** q * integral)
+        # the tails live beyond the box, disjoint from the window part,
+        # so the q-th-power modulars add exactly for every q > 0
+        total = (lhs_win ** q + sum(tail_terms)) ** (1.0 / q)
+        if k == 0 and total > 0:
+            tail_shares[t] = (total - lhs_win) / total
 
-    return _ratio_report("tail-sum", cfg, one_trial, lambda: {
+        f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
+        return [(t, total, weighted_lp_quasinorm(f_rhs, p, w_p[k]))]
+
+    return _ratio_report("tail-sum", cfg, draw, measure, lambda: {
         "p": p, "q": q, "gamma": gamma, "epsilon": eps, "r": r,
         "weight": w.descriptor(),
         "ap": ap.to_json_dict(),
@@ -489,7 +494,7 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
 
     lower = min(v[0] for v in per_cube.values())
     upper = max(v[1] for v in per_cube.values())
-    base_lo, base_hi = per_k_bounds[0] if 0 in per_k_bounds else (lower, upper)
+    base_lo, base_hi = per_k_bounds[0]
     scale_drift = max(
         max(abs(lo / base_lo - 1.0), abs(hi / base_hi - 1.0))
         for lo, hi in per_k_bounds.values()
@@ -554,26 +559,24 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
     wg = _weight_grids(cfg, (w, 1.0))
     count = cfg.corpus.count
 
-    def one_trial(t: int):
-        fams = [_indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 4, t, j]))
+    def draw(t: int):
+        return [_indicator_corpus(cfg, np.random.default_rng([cfg.corpus.seed, 4, t, j]))
                 for j in range(K)]
-        rows = []
-        for k, box_k, h_k in _sweep(cfg):
-            fs = [_indicator_sum([_dilated(c, k) for c in cubes], lambdas, box_k, h_k)
-                  for cubes, lambdas in fams]
-            zero = GridFunction.zeros(box_k, h_k)
-            lhs_stack = sum(hl_maximal(f).samples ** r for f in fs)
-            rhs_stack = sum(np.abs(f.samples) ** r for f in fs)
-            lhs = weighted_lp_quasinorm(
-                zero.with_samples(lhs_stack ** (1.0 / r)), p, wg[k])
-            rhs = weighted_lp_quasinorm(
-                zero.with_samples(rhs_stack ** (1.0 / r)), p, wg[k])
-            rows.append(TrialRow.make(t, k, lhs, rhs))
-            if offdiag:
-                f0 = fs[0]
-                lhs2 = weighted_lp_quasinorm(frac_maximal(f0, gamma), q, w_qg[k])
-                rhs2 = weighted_lp_quasinorm(f0, p, w_pg[k])
-                rows.append(TrialRow.make(count + t, k, lhs2, rhs2))
+
+    def measure(t: int, fams, k: int, box_k, h_k: float):
+        fs = [_indicator_sum([_dilated(c, k) for c in cubes], lambdas, box_k, h_k)
+              for cubes, lambdas in fams]
+        zero = GridFunction.zeros(box_k, h_k)
+        lhs_stack = sum(hl_maximal(f).samples ** r for f in fs)
+        rhs_stack = sum(np.abs(f.samples) ** r for f in fs)
+        lhs = weighted_lp_quasinorm(zero.with_samples(lhs_stack ** (1.0 / r)), p, wg[k])
+        rhs = weighted_lp_quasinorm(zero.with_samples(rhs_stack ** (1.0 / r)), p, wg[k])
+        rows = [(t, lhs, rhs)]
+        if offdiag:
+            # the pairing's row comes right after the diagonal row of (t, k)
+            f0 = fs[0]
+            rows.append((count + t, weighted_lp_quasinorm(frac_maximal(f0, gamma), q, w_qg[k]),
+                         weighted_lp_quasinorm(f0, p, w_pg[k])))
         return rows
 
     metadata = {
@@ -585,7 +588,7 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
     }
     if offdiag:
         metadata.update(gamma=gamma, q=q, apq=apq.to_json_dict())
-    return _ratio_report("fefferman-stein", cfg, one_trial, lambda: metadata)
+    return _ratio_report("fefferman-stein", cfg, draw, measure, lambda: metadata)
 
 
 # -- the fractional operator on weighted Hardy products ----------------------------
@@ -617,33 +620,32 @@ def _bounded_slot(cfg: ExperimentConfig, t: int, j: int) -> GridFunction:
     return zero.with_samples(acc)
 
 
-def _operator_report(name: str, cfg: ExperimentConfig, kernel, N: int,
-                     lhs_norm, slot_norm, metadata, *, bounded: int = 0) -> RatioReport:
-    """The trial loop of the three operator runs.  Each trial draws the
-    atomic slots (moment order N) and ``bounded`` sup-norm slots, then at
-    every sweep scale k applies the operator once to the dilated data: the
-    lhs is ``lhs_norm(T, k)``, and the rhs is the product of the sup norms
-    times ``slot_norm(i, f_i, k, mollifier)`` over the atomic slots, in slot
-    order."""
-    def one_trial(t: int):
-        fams = _atomic_slots(cfg, t, kernel.m - bounded, N)
-        gs = [_bounded_slot(cfg, t, j) for j in range(bounded)]
-        sup_prod = 1.0
-        for g in gs:
-            sup_prod *= g.sup_norm()
-        rows = []
-        for k, box_k, h_k in _sweep(cfg):
-            fs = [_dilated(f, k) for f in fams]
-            T = apply_frac_operator(kernel, fs + [_dilated(g, k) for g in gs])
-            lhs = lhs_norm(T, k)
-            mol = _mollifier_for(box_k, h_k)
-            rhs = sup_prod
-            for i, f in enumerate(fs):
-                rhs *= slot_norm(i, f, k, mol)
-            rows.append(TrialRow.make(t, k, lhs, rhs))
-        return rows
+def _operator_report(name: str, cfg: ExperimentConfig, N: int, lhs_norm,
+                     slot_norm, metadata, *, bounded: int = 0) -> RatioReport:
+    """The three operator runs, on the kernel of cfg's m, n and gamma.  Each
+    trial draws the atomic slots (moment order N) and ``bounded`` sup-norm
+    slots; at every sweep scale k the operator is applied once to the
+    dilated data: the lhs is ``lhs_norm(T, k)``, and the rhs is the product
+    of the sup norms times ``slot_norm(i, f_i, k, mollifier)`` over the
+    atomic slots, in slot order."""
+    kernel = KenigSteinKernel(cfg.m, cfg.n, cfg.gamma)
 
-    return _ratio_report(name, cfg, one_trial, metadata)
+    def draw(t: int):
+        fams = _atomic_slots(cfg, t, cfg.m - bounded, N)
+        gs = [_bounded_slot(cfg, t, j) for j in range(bounded)]
+        return fams, gs, math.prod(g.sup_norm() for g in gs)
+
+    def measure(t: int, data, k: int, box_k, h_k: float):
+        fams, gs, rhs = data
+        fs = [_dilated(f, k) for f in fams]
+        T = apply_frac_operator(kernel, fs + [_dilated(g, k) for g in gs])
+        lhs = lhs_norm(T, k)
+        mol = _mollifier_for(box_k, h_k)
+        for i, f in enumerate(fs):
+            rhs *= slot_norm(i, f, k, mol)
+        return [(t, lhs, rhs)]
+
+    return _ratio_report(name, cfg, draw, measure, metadata)
 
 
 def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
@@ -690,12 +692,11 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
 
     gsplit = [n * (1.0 / pi - 1.0 / qi) for pi, qi in zip(ps, qs)]
     gsplit[-1] = gamma - sum(gsplit[:-1])  # kill rounding in the sum
-    kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
     wbar = _weight_grids(cfg, *((wi, q / pi) for wi, pi in zip(weights, ps)))
     w_slots = [_weight_grids(cfg, (wi, 1.0)) for wi in weights]
 
     return _operator_report(
-        "frac-hardy", cfg, kernel, N,
+        "frac-hardy", cfg, N,
         lambda T, k: weighted_lp_quasinorm(T, q, wbar[k]),
         lambda i, f, k, mol: hardy_quasinorm(f, ps[i], w_slots[i][k], mol),
         lambda: {
@@ -714,15 +715,14 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
     """||T(f_1..f_{m-l}, g_1..g_l)||_{L^q} against
     prod ||f_i||_{H^{p_i}} * prod sup|g_j| for bounded g_j."""
     l = cfg.bounded_slots
-    m, n, gamma = _slots(cfg, bounded=l)
+    _, n, gamma = _slots(cfg, bounded=l)
     _require(not cfg.weights, "this run takes no weights")
     ps = tuple(e.p_minus for e in cfg.exponents)
     q = 1.0 / _inv_target(cfg, ps, gamma, n)
     N = 1
-    kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
 
     return _operator_report(
-        "bounded-slots", cfg, kernel, N,
+        "bounded-slots", cfg, N,
         lambda T, k: weighted_lp_quasinorm(T, q),
         lambda i, f, k, mol: hardy_quasinorm(f, ps[i], None, mol),
         lambda: {
@@ -739,7 +739,7 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     Luxemburg norms of the smooth maximal functions in L^{p_i(.)}.  The
     paper truncates T before extrapolating only to make the left side
     finite; on a finite grid it already is, so T is taken as it is."""
-    m, n, gamma = _slots(cfg, constant=False)
+    _, _, gamma = _slots(cfg, constant=False)
     _require(not cfg.weights, "this run takes no weights")
     exponents = cfg.exponents
     target = target_exponent(exponents, gamma)
@@ -753,10 +753,9 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
         lh_reports.append(rep)
 
     N = 1
-    kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=N + 1)
 
     return _operator_report(
-        "var-frac-hardy", cfg, kernel, N,
+        "var-frac-hardy", cfg, N,
         lambda T, k: luxemburg_norm(T, target),
         lambda i, f, k, mol: luxemburg_norm(grand_maximal(f, mol), exponents[i]),
         lambda: {
@@ -782,7 +781,7 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
     q = system.target_scalar
     qbar = system.target_bar
     qbar_c = qbar.conjugate()
-    kernel = KenigSteinKernel(m=m, n=n, gamma=gamma, order=2)
+    kernel = KenigSteinKernel(m=m, n=n, gamma=gamma)
 
     fs = [
         random_atomic_family(_subseed(cfg.corpus.seed, 8, i),

@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -88,29 +87,21 @@ class Cube:
     def volume(self) -> float:
         return self.side ** self.dim
 
-    def dilate(self, tau: float) -> "Cube":
-        """Concentric enlargement by a factor tau > 1."""
-        if not tau > 1:
-            raise ValueError(f"dilation factor must exceed 1, got {tau}")
-        return Cube(self.center, self.side * tau)
-
     def star(self) -> "Cube":
         """The concentric enlargement by 2*sqrt(dim)."""
-        return self.dilate(2.0 * math.sqrt(self.dim))
+        return Cube(self.center, self.side * (2.0 * math.sqrt(self.dim)))
 
-    def scaled(self, factor: float, about: Sequence[float]) -> "Cube":
-        """Rescale side and center about the point ``about`` by a positive factor.
+    def scaled(self, factor: float) -> "Cube":
+        """Rescale side and center about the origin by a positive factor.
 
-        Unlike :meth:`dilate` this is plain coordinate scaling, so shrinking
-        is allowed; it is the primitive used for dilation sweeps, and runs in
-        plain floats because sweeps call it once per cube and scale.
+        This is plain coordinate scaling, so shrinking is allowed; it is the
+        primitive used for dilation sweeps, and runs in plain floats because
+        sweeps call it once per cube and scale.
         """
         if not factor > 0:
             raise ValueError("scale factor must be positive")
-        if len(about) != self.dim:
-            raise ValueError("scaling center has the wrong dimension")
-        c = tuple(float(a) + factor * (x - float(a)) for a, x in zip(about, self.center))
-        return Cube(c, self.side * factor)
+        # 0.0 + maps a -0.0 coordinate to 0.0, so no descriptor shows -0.0
+        return Cube(tuple(0.0 + factor * x for x in self.center), self.side * factor)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for points of shape (..., dim)."""

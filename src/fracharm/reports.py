@@ -292,7 +292,6 @@ class ChainReport(_Gated):
         # a chain with no steps gets no gates, so it cannot pass
         gates = tuple(st.gate for st in steps) + (
             Gate("final_finite", final_constant, "<", math.inf),
-            Gate("hypothesis_finite", hypothesis_constant, "<", math.inf),
         ) if steps else ()
         return cls(experiment, steps, final_constant, hypothesis_constant,
                    gates, dict(metadata or {}))

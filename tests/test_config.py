@@ -35,6 +35,15 @@ class TestDefaults:
         assert make(sweep={"k_min": -1, "k_max": 2}).sweep == (-1, 0, 1, 2)
         assert make(sweep={"ks": [0, 2, -2]}).sweep == (0, 2, -2)
 
+    @pytest.mark.parametrize("sweep", [{"ks": [1, 2]}, {"k_min": 1, "k_max": 3}],
+                             ids=["ks", "k_min-positive"])
+    def test_sweep_without_base_scale_refused(self, sweep):
+        # dilation_drift and max_tail_share are measured at k = 0; a sweep
+        # without it used to report 0.0 for both
+        with pytest.raises(ConfigError,
+                           match=re.escape("'sweep': must contain the base scale k = 0")):
+            make(sweep=sweep)
+
 
 class TestValidation:
     def test_unknown_top_level_field(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ def make(d=None, **kw):
 def small_sweep(k=1):
     return {"k_min": -k, "k_max": k}
 
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SINGLE_CUBE = {"count": 4, "atoms_per_trial": [1, 1], "lambda_range": [1.0, 1.0]}
 
@@ -94,6 +98,23 @@ def test_off_origin_weight_dilates_with_grid(cfg):
     rep = run_experiment(make(cfg))
     assert abs(rep.slope) <= 1e-12
     assert rep.metadata["dilation_drift"] <= 1e-12
+
+
+@pytest.mark.parametrize("stem", [
+    "star_sum_unit", "tail_sum_unit", "fefferman_stein_offdiag",
+    "frac_hardy_unit", "bounded_slots", "var_frac_hardy"])
+def test_rows_are_trial_major_in_sweep_order(stem):
+    # the trials CSV lists the rows in this order: every scale of trial 0 in
+    # sweep order, then trial 1; the off-diagonal Fefferman-Stein row of
+    # trial t (numbered count + t) comes right after the diagonal row (t, k)
+    payload = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
+    payload["corpus"]["count"] = 2
+    payload["sweep"] = {"ks": [0, -1]}  # unsorted, so sweep order shows
+    rep = run_experiment(make(payload))
+    expected = [(t, k) for t in range(2) for k in (0, -1)]
+    if stem == "fefferman_stein_offdiag":
+        expected = [row for t, k in expected for row in ((t, k), (2 + t, k))]
+    assert [(r.trial, r.scale_k) for r in rep.rows] == expected
 
 
 # Weighted runs at small corpora: fefferman-stein with its off-diagonal pairing.

@@ -29,18 +29,6 @@ class TestCube:
         assert q.volume == 1.0
         assert q.dim == 1
 
-    def test_dilate_scales_side_only(self):
-        q = Cube((0.25, -0.5), 0.5)
-        d = q.dilate(3.0)
-        assert d.center == q.center
-        assert d.side == 1.5
-
-    def test_dilate_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            Cube((0.0,), 1.0).dilate(0.5)
-        with pytest.raises(ValueError):
-            Cube((0.0,), 1.0).dilate(1.0)
-
     def test_star_factor(self):
         assert Cube((0.0,), 1.0).star().side == 2.0
         assert Cube((0.0, 0.0), 1.0).star().side == pytest.approx(2.0 * math.sqrt(2.0))
@@ -55,12 +43,9 @@ class TestCube:
 
     def test_scaled_about_point(self):
         q = Cube((1.0,), 1.0)
-        s = q.scaled(0.5, about=(0.0,))
+        s = q.scaled(0.5)
         assert s.center == (0.5,)
         assert s.side == 0.5
-        t = q.scaled(2.0, about=q.center)
-        assert t.center == (1.0,)
-        assert t.side == 2.0
 
     def test_contains_half_open(self):
         q = Cube((0.5,), 1.0)

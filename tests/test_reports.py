@@ -145,8 +145,13 @@ class TestChainReport:
         ok = bounded_step("a", 1.0, 2.0)
         rep = ChainReport.from_steps("x", [ok], math.inf, 1.0)
         assert not rep.passed and rep.summary().endswith(" failed=final_finite")
-        rep = ChainReport.from_steps("x", [ok], 1.0, math.nan)
-        assert rep.summary().endswith(" failed=hypothesis_finite")
+        # the hypothesis constant is gated by its own chain step, as the
+        # extrapolation run builds it
+        hyp = ChainStep("weighted_hypothesis", math.nan, 1.0, math.nan, None,
+                        Gate("weighted_hypothesis", math.nan, "<", math.inf))
+        rep = ChainReport.from_steps("x", [ok, hyp], 1.0, math.nan)
+        assert not rep.passed
+        assert rep.summary().endswith(" failed=weighted_hypothesis")
 
     def test_trial_rows_mirror_steps(self):
         steps = [bounded_step("a", 2.0, 4.0),
