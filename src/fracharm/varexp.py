@@ -18,8 +18,8 @@ rather than trusted.
 
 The Rubio de Francia iteration is implemented truncated, with the geometric
 tail quantified instead of appealing to the infinite series.  The property
-check runs the series once and hands the iterate and M^(depth+1) h to the
-extrapolation chain, which reads them from its report.
+check builds one maximal orbit h, Mh, ..., M^(depth+1) h and hands the
+extrapolation chain A, the iterate, the tail and their norms in its report.
 """
 
 from __future__ import annotations
@@ -441,31 +441,35 @@ def derive_system(exponents, scalars, gamma: float, *, window=None,
 # -- Rubio de Francia iteration ---------------------------------------------------
 
 
-def _rubio_series(h: GridFunction, sigma: ExponentFunction, opnorm: float,
-                  depth: int):
-    """The truncated series and the last power M^depth h it summed."""
+def _maximal_orbit(h: GridFunction, sigma: ExponentFunction, depth: int) -> list:
+    """h, Mh, ..., M^depth h: depth ladder calls."""
     if np.any(h.samples < 0):
         raise ValueError("input must be nonnegative")
     if sigma.p_minus <= 1.0:
         raise ValueError("the iteration exponent needs [sigma]_- > 1")
-    if opnorm <= 0:
-        raise ValueError("operator norm estimate must be positive")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    acc = h.samples.copy()
-    g = h
-    scale = 1.0
+    orbit = [h]
     for _ in range(depth):
-        g = hl_maximal(g)
+        orbit.append(hl_maximal(orbit[-1]))
+    return orbit
+
+
+def _series(orbit, opnorm: float) -> GridFunction:
+    """sum_j orbit[j] / (2 * opnorm)^j, summed in orbit order."""
+    acc, scale = orbit[0].samples.copy(), 1.0
+    for g in orbit[1:]:
         scale /= 2.0 * opnorm
         acc = acc + scale * g.samples
-    return h.with_samples(acc), g
+    return orbit[0].with_samples(acc)
 
 
 def rubio_iterate(h: GridFunction, sigma: ExponentFunction, opnorm: float,
                   depth: int) -> GridFunction:
     """Truncated series sum_{j<=depth} M^j h / (2 * opnorm)^j; depth 0 is h."""
-    return _rubio_series(h, sigma, opnorm, depth)[0]
+    if opnorm <= 0:
+        raise ValueError("operator norm estimate must be positive")
+    return _series(_maximal_orbit(h, sigma, depth), opnorm)
 
 
 def _interior_family(g: GridFunction):
@@ -490,8 +494,11 @@ class RubioReport:
     a1_ok: bool
     rh_report: WeightConstantReport
     metadata: dict
+    opnorm: float                 # A, from the orbit's first links
+    input_norm: float             # ||h||_sigma
+    iterate_norm: float           # ||R h||_sigma
+    next_power_norm: float        # ||M^(depth+1) h||_sigma
     iterate: GridFunction = field(repr=False, compare=False)
-    next_power: GridFunction = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -506,25 +513,24 @@ class RubioReport:
         }
 
 
-def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
-                           opnorm: float, depth: int = 8, *,
-                           power: float = 0.5, rh_order: float = 2.0) -> RubioReport:
-    """Measure the four advertised properties of the truncated iteration.
+def rubio_properties_check(h: GridFunction, sigma: ExponentFunction, depth: int = 8,
+                           *, power: float = 0.5, rh_order: float = 2.0) -> RubioReport:
+    """Measure the four advertised properties of the truncated iteration on
+    the orbit h, Mh, ..., M^(depth+1) h: A from its first links, the iterate
+    from its first depth + 1 powers, the tail from the last.
 
     (1) pointwise domination of h; (2) Luxemburg norm inflation, at most 2
-    when opnorm really dominates the maximal operator; (3) an A1 quotient
-    over interior cubes against 2 * opnorm plus the quantified truncation
-    tail; (4) reverse-Hoelder behaviour of the ``power`` of the output.
+    when A really dominates the maximal operator; (3) an A1 quotient over
+    interior cubes against 2A plus the quantified truncation tail; (4)
+    reverse-Hoelder behaviour of the ``power`` of the output.
     """
-    rk, last = _rubio_series(h, sigma, opnorm, depth)
+    orbit = _maximal_orbit(h, sigma, depth)
+    orbit.append(hl_maximal(orbit[-1]))
+    opnorm, (nf, *_) = maximal_opnorm_estimate(sigma, orbit[:3])
+    rk = _series(orbit[:-1], opnorm)
     margin = float(np.min(rk.samples - h.samples))
-
-    nf = luxemburg_norm(h, sigma)
-    ratio = math.inf if nf == 0.0 else luxemburg_norm(rk, sigma) / nf
-
-    # one more maximal application quantifies the dropped tail
-    nxt = hl_maximal(last)
-    tail = nxt.samples / (2.0 * opnorm) ** (depth + 1)
+    rk_norm = luxemburg_norm(rk, sigma)
+    tail = orbit[-1].samples / (2.0 * opnorm) ** (depth + 1)
 
     family = _interior_family(h)
     tiling, translates = [], []
@@ -560,7 +566,7 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
     return RubioReport(
         domination_margin=margin,
         domination_ok=margin >= 0.0,
-        norm_ratio=ratio,
+        norm_ratio=rk_norm / nf,
         a1_estimate=est,
         a1_bound=bound,
         a1_ok=all_ok,
@@ -568,37 +574,35 @@ def rubio_properties_check(h: GridFunction, sigma: ExponentFunction,
         metadata={"opnorm": opnorm, "depth": depth, "power": power,
                   "rh_order": rh_order, "worst_cube": worst,
                   "tail_sup": float(np.max(tail))},
+        opnorm=opnorm,
+        input_norm=nf,
+        iterate_norm=rk_norm,
+        next_power_norm=luxemburg_norm(orbit[-1], sigma),
         iterate=rk,
-        next_power=nxt,
     )
 
 
-def maximal_opnorm_estimate(sigma: ExponentFunction, probes) -> float:
-    """Empirical bound for the maximal operator on L^sigma: the worst probe
-    quotient of Luxemburg norms, inflated by a safety factor of 1.5."""
+def maximal_opnorm_estimate(sigma: ExponentFunction, orbit) -> tuple[float, list]:
+    """Empirical bound for the maximal operator on L^sigma: the worst quotient
+    ||Mg|| / ||g|| of Luxemburg norms over the links of a maximal orbit f, Mf,
+    M^2 f, ..., inflated by a safety factor of 1.5; and the orbit's norms."""
     if sigma.p_minus <= 1.0:
         raise ValueError("need [sigma]_- > 1")
-    probes = list(probes)
-    if not probes:
-        raise ValueError("need at least one probe function")
-    worst = 0.0
-    for f in probes:
-        nf = luxemburg_norm(f, sigma)
-        if nf == 0.0:
-            continue
-        worst = max(worst, luxemburg_norm(hl_maximal(f), sigma) / nf)
+    if len(orbit) < 2:
+        raise ValueError("need a probe function and its maximal function")
+    norms = [luxemburg_norm(g, sigma) for g in orbit]
+    worst = max((b / a for a, b in zip(norms, norms[1:]) if a), default=0.0)
     if worst == 0.0:
         raise ValueError("all probes were identically zero")
-    return 1.5 * worst
+    return 1.5 * worst, norms
 
 
-def dual_witness(f: GridFunction, qbar: ExponentFunction) -> GridFunction:
+def dual_witness(f: GridFunction, qbar: ExponentFunction) -> tuple[GridFunction, float]:
     """Unit-norm function in the dual Luxemburg space that nearly norms f.
 
-    Returns h = c * (f/|f|_qbar)^(qbar(x)-1) with c fixed by the dual
-    Luxemburg norm itself (its Newton solve plays the role of the
-    normalizing search); the pairing with f recovers at least half the norm
-    of f.
+    Returns h = c * (f/|f|_qbar)^(qbar(x)-1), with c fixed by the dual
+    Luxemburg norm itself (its Newton solve is the normalizing search), and
+    |f|_qbar; the pairing with f recovers at least half the norm of f.
     """
     if np.any(f.samples < 0):
         raise ValueError("witness construction expects a nonnegative input")
@@ -611,4 +615,4 @@ def dual_witness(f: GridFunction, qbar: ExponentFunction) -> GridFunction:
     pex = qbar.evaluate(f.coords())
     raw = scaled.with_samples(scaled.samples ** (pex - 1.0))
     c = luxemburg_norm(raw, qbar.conjugate())
-    return raw * (1.0 / c)
+    return raw * (1.0 / c), norm

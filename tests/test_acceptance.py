@@ -20,12 +20,10 @@ from fracharm.config import ExperimentConfig
 from fracharm.experiments import run_experiment
 from fracharm.grid import Cube, GridFunction
 from fracharm.kernels import KenigSteinKernel, apply_frac_operator
-from fracharm.maximal import hl_maximal
 from fracharm.varexp import (
     ExponentFunction,
     derive_system,
     luxemburg_norm,
-    maximal_opnorm_estimate,
     modular,
     rubio_properties_check,
 )
@@ -194,8 +192,7 @@ def test_criterion_04_majorant_iteration(criteria):
         x = f.coords()[..., 0]
         f = f.with_samples(np.exp(-x * x / 4.0))
         sigma = ExponentFunction.log_decay(1.5, 0.5)
-        opnorm = maximal_opnorm_estimate(sigma, [f, hl_maximal(f)])
-        report = rubio_properties_check(f, sigma, opnorm, depth=8,
+        report = rubio_properties_check(f, sigma, depth=8,
                                         power=0.5, rh_order=2.0)
         elapsed = time.perf_counter() - t0
 

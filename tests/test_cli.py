@@ -382,8 +382,12 @@ class TestFailedGateNamed:
 
     def test_chain_witness_modular(self, tmp_path, capsys, monkeypatch):
         honest = fracharm.experiments.dual_witness
-        monkeypatch.setattr(fracharm.experiments, "dual_witness",
-                            lambda G, qbar: honest(G, qbar) * 3.0)
+
+        def tripled(G, qbar):
+            wit, norm = honest(G, qbar)
+            return wit * 3.0, norm
+
+        monkeypatch.setattr(fracharm.experiments, "dual_witness", tripled)
         assert "witness_modular" in self.failed(tmp_path, capsys, CHAIN)
 
 

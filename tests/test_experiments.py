@@ -16,9 +16,10 @@ from fracharm.experiments import (
     _mollifier_for,
     run_experiment,
 )
-from fracharm.grid import Cube, GridFunction
+from fracharm.grid import Cube, GridFunction, integrate
 from fracharm.kernels import KenigSteinKernel, apply_frac_operator
-from fracharm.maximal import _bump
+from fracharm.maximal import _bump, hl_maximal
+from fracharm.varexp import derive_system, luxemburg_norm, rubio_iterate
 from fracharm.weights import Weight
 
 
@@ -417,6 +418,8 @@ EXTRAP_BASE = dict(experiment="extrapolation", m=2, gamma=0.25,
                    exponents=[4.0, 4.0],
                    grid={"box": [[-8, 8]], "h": 0.03125},
                    corpus={"seed": 7, "count": 1, "atoms_per_trial": [2, 2]})
+EXTRAP_CONST = json.loads((ROOT / "configs" / "extrapolation_const.json").read_text())
+EXTRAP_DISTINCT = dict(EXTRAP_CONST, exponents=[4.0, 3.0])
 
 
 class TestExtrapolation:
@@ -446,21 +449,95 @@ class TestExtrapolation:
             assert entry["opnorm"] > 0 and entry["tail"] >= 0
 
     def test_ladder_runs_once_per_slot(self, monkeypatch):
-        # opnorm probe (1), its estimate (2) and one series of depth + 1
-        # powers (9): the chain reads the iterate and the tail from the
-        # property check instead of running the ladder again
-        calls = []
-        real = fracharm.maximal.hl_maximal
+        # one orbit of depth + 1 = 9 ladder calls per distinct slot.  Norms:
+        # ||F||, the witness's two; per distinct slot ||u||, ||Mu||, ||M^2 u||,
+        # ||R||, ||M^9 u|| and ||W||; per slot the two of its maximal function
+        counts = {}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name, real):
+            def fn(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return fn
 
-        for mod in (fracharm.maximal, fracharm.varexp, fracharm.experiments):
-            monkeypatch.setattr(mod, "hl_maximal", counting)
-        rep = run_experiment(make(EXTRAP_BASE))
+        for name in ("hl_maximal", "luxemburg_norm"):
+            real = getattr(fracharm.varexp, name)
+            for mod in (fracharm.maximal, fracharm.varexp, fracharm.experiments):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting(name, real))
+        for base, ladders, norms in ((EXTRAP_CONST, 9, 13), (EXTRAP_DISTINCT, 18, 19)):
+            counts.update(hl_maximal=0, luxemburg_norm=0)
+            assert run_experiment(make(base)).passed
+            assert counts["hl_maximal"] == ladders
+            assert counts["luxemburg_norm"] <= norms
+
+    @pytest.mark.parametrize("base", [EXTRAP_CONST, EXTRAP_DISTINCT],
+                             ids=["equal-slots", "distinct-slots"])
+    def test_slots_match_a_pass_per_slot(self, monkeypatch, base):
+        # every slot recomputed on its own from the standalone functions,
+        # with A written out as 1.5 times the worst of the quotients
+        # ||Mu||/||u|| and ||M^2 u||/||Mu||: a pass shared by equal slots
+        # must give each slot exactly these bits.  The A1 and RH fields of a
+        # rubio entry are measured on R and the tail, which are checked here
+        seen = {}
+        honest = fracharm.experiments.dual_witness
+
+        def spy(G, qbar):
+            seen["G"] = G
+            seen["h"], norm = honest(G, qbar)
+            return seen["h"], norm
+
+        monkeypatch.setattr(fracharm.experiments, "dual_witness", spy)
+        cfg = make(base)
+        rep = run_experiment(cfg)
         assert rep.passed
-        assert len(calls) <= 12 * EXTRAP_BASE["m"]
+        steps = {s.name: s for s in rep.steps}
+        rubio = rep.metadata["rubio"]
+        scalars = tuple(0.75 * p.p_minus for p in cfg.exponents)
+        system = derive_system(cfg.exponents, scalars, cfg.gamma,
+                               window=cfg.box, seed=cfg.corpus.seed)
+        G, h_fn = seen["G"], seen["h"]
+        coords = G.coords()
+        qbar_c = system.target_bar.conjugate()
+        D = np.ones_like(h_fn.samples)
+        for i, (s_i, q_i) in enumerate(zip(scalars, system.slot_scalars)):
+            sigma = system.sigmas[i]
+            pbar_c = system.p_bars[i].conjugate()
+            expo = qbar_c.evaluate(coords) * q_i / (pbar_c.evaluate(coords) * s_i)
+            u = G.with_samples(h_fn.samples ** expo)
+            Mu = hl_maximal(u)
+            A = 1.5 * max(luxemburg_norm(Mu, sigma) / luxemburg_norm(u, sigma),
+                          luxemburg_norm(hl_maximal(Mu), sigma)
+                          / luxemburg_norm(Mu, sigma))
+            R = rubio_iterate(u, sigma, A, 8)
+            nxt = u
+            for _ in range(9):
+                nxt = hl_maximal(nxt)
+            tail = luxemburg_norm(nxt, sigma) / (2.0 * A) ** 9
+            surr = luxemburg_norm(R, sigma) ** (s_i / q_i)
+            lux_w = luxemburg_norm(R.power(s_i / q_i), pbar_c)
+            unit = steps[f"slot_unit_norm_{i}"]
+            assert (unit.lhs, unit.rhs) == (luxemburg_norm(u, sigma), 1.0)
+            rdf = steps[f"rdf_norm_{i}"]
+            assert (rdf.lhs, rdf.rhs) == (surr, 1.0)
+            assert rdf.bound == 2.0 ** (s_i / q_i) * (1.0 + tail) * (1.0 + 1e-9)
+            wn = steps[f"weight_norm_{i}"]
+            assert (wn.lhs, wn.rhs) == (lux_w, surr)
+            entry = rubio[i]
+            assert (entry["opnorm"], entry["tail"]) == (A, tail)
+            assert entry["domination_margin"] == float(np.min(R.samples - u.samples))
+            assert entry["norm_ratio"] == (luxemburg_norm(R, sigma)
+                                           / luxemburg_norm(u, sigma))
+            assert entry["metadata"] == dict(
+                entry["metadata"], opnorm=A, depth=8, power=s_i / q_i,
+                rh_order=q_i / s_i,
+                tail_sup=float(np.max(nxt.samples / (2.0 * A) ** 9)))
+            D = D * R.samples ** (system.target_scalar / q_i)
+        dom = steps["iteration_domination"]
+        assert dom.lhs == integrate(G * h_fn)
+        assert dom.rhs == integrate(G * G.with_samples(D))
+        # the pass key separates slots that differ
+        assert (rubio[0] == rubio[1]) == (base is EXTRAP_CONST)
 
 
 class TestHarness:

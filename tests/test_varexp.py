@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fracharm.varexp
 from fracharm.grid import Cube, GridFunction, weighted_lp_quasinorm
-from fracharm.maximal import iterated_maximal
+from fracharm.maximal import hl_maximal, iterated_maximal
 from fracharm.varexp import (
     ExponentFunction,
     derive_system,
@@ -395,7 +395,7 @@ class TestRubioPropertiesCheck:
         # M of a constant is the constant, so the iteration sums a plain
         # geometric series and every property is exact
         ones = GridFunction.zeros(BOX, H) + 1.0
-        rep = rubio_properties_check(ones, ExponentFunction.constant(2.0), 1.5, 8)
+        rep = rubio_properties_check(ones, ExponentFunction.constant(2.0), 8)
         series = sum(3.0 ** -j for j in range(9))
         assert rep.domination_margin == pytest.approx(series - 1.0, rel=1e-12)
         assert rep.norm_ratio == pytest.approx(series, rel=1e-6)
@@ -405,7 +405,7 @@ class TestRubioPropertiesCheck:
 
     def test_indicator_all_properties(self):
         chi = Cube((0.5,), 1.0).indicator(BOX, H)
-        rep = rubio_properties_check(chi, ExponentFunction.constant(2.0), 1.5, 8)
+        rep = rubio_properties_check(chi, ExponentFunction.constant(2.0), 8)
         assert rep.domination_ok
         assert rep.norm_ratio <= 2.0
         assert rep.a1_ok
@@ -414,7 +414,7 @@ class TestRubioPropertiesCheck:
 
     def test_report_serializes(self):
         chi = Cube((0.5,), 1.0).indicator(BOX, H)
-        d = rubio_properties_check(chi, ExponentFunction.constant(2.0), 1.5, 4).to_json_dict()
+        d = rubio_properties_check(chi, ExponentFunction.constant(2.0), 4).to_json_dict()
         assert d["domination_ok"] and d["a1_ok"]
         assert d["metadata"]["depth"] == 4
         assert "rh" in d and "constant" in d["rh"]
@@ -424,50 +424,69 @@ class TestRubioPropertiesCheck:
         uniform_profile(4, box=((-2.0, 2.0), (-2.0, 2.0)), h=2.0 ** -3),
     ], ids=["1d", "2d"])
     def test_hands_out_iterate_and_next_power(self, h):
-        # the chain reads both from the report, so they must be the bits
-        # the standalone functions compute
+        # the chain reads A, the iterate and the norms from the report, so
+        # they must be the bits the standalone functions compute
         sigma = ExponentFunction.constant(2.0, dim=h.dim)
-        rep = rubio_properties_check(h, sigma, 1.5, 3)
-        assert np.array_equal(rep.iterate.samples,
-                              rubio_iterate(h, sigma, 1.5, 3).samples)
-        assert np.array_equal(rep.next_power.samples,
-                              iterated_maximal(h, 4).samples)
+        rep = rubio_properties_check(h, sigma, 3)
+        orbit = [h, hl_maximal(h), iterated_maximal(h, 2)]
+        assert rep.opnorm == maximal_opnorm_estimate(sigma, orbit)[0]
+        assert rep.metadata["opnorm"] == rep.opnorm
+        iterate = rubio_iterate(h, sigma, rep.opnorm, 3)
+        assert np.array_equal(rep.iterate.samples, iterate.samples)
+        assert rep.input_norm == luxemburg_norm(h, sigma)
+        assert rep.iterate_norm == luxemburg_norm(iterate, sigma)
+        assert rep.norm_ratio == rep.iterate_norm / rep.input_norm
+        assert rep.next_power_norm == luxemburg_norm(iterated_maximal(h, 4), sigma)
         assert set(rep.to_json_dict()) == {
             "domination_margin", "domination_ok", "norm_ratio", "a1_estimate",
             "a1_bound", "a1_ok", "rh", "metadata"}
 
 
+def orbit_of(f, links):
+    """f, Mf, ..., M^(links-1) f."""
+    orbit = [f]
+    while len(orbit) < links:
+        orbit.append(hl_maximal(orbit[-1]))
+    return orbit
+
+
 class TestMaximalOpnormEstimate:
     def test_constant_probe_gives_safety_factor(self):
         ones = GridFunction.zeros(BOX, H) + 1.0
-        a = maximal_opnorm_estimate(ExponentFunction.constant(2.0), [ones])
-        assert a == pytest.approx(1.5, rel=1e-12)
+        a, _ = maximal_opnorm_estimate(ExponentFunction.constant(2.0),
+                                       orbit_of(ones, 2))
+        assert a == 1.5
 
     def test_dominates_probe_ratios(self):
         sigma = ExponentFunction.constant(2.0)
         chi = Cube((0.5,), 1.0).indicator(BOX, H)
-        a = maximal_opnorm_estimate(sigma, [chi])
-        from fracharm.maximal import hl_maximal
-        ratio = luxemburg_norm(hl_maximal(chi), sigma) / luxemburg_norm(chi, sigma)
-        assert a >= ratio
-        assert a == pytest.approx(1.5 * ratio, rel=1e-12)
+        orbit = orbit_of(chi, 3)
+        a, norms = maximal_opnorm_estimate(sigma, orbit)
+        assert norms == [luxemburg_norm(g, sigma) for g in orbit]
+        worst = max(luxemburg_norm(hl_maximal(chi), sigma) / luxemburg_norm(chi, sigma),
+                    luxemburg_norm(orbit[2], sigma) / luxemburg_norm(orbit[1], sigma))
+        assert a >= worst
+        assert a == 1.5 * worst
 
     def test_monotone_in_probe_set(self):
         sigma = ExponentFunction.constant(2.0)
-        probes = [uniform_profile(s) for s in range(3)]
-        a1 = maximal_opnorm_estimate(sigma, probes[:1])
-        a2 = maximal_opnorm_estimate(sigma, probes[:2])
-        a3 = maximal_opnorm_estimate(sigma, probes)
+        orbit = orbit_of(uniform_profile(0), 4)
+        a1 = maximal_opnorm_estimate(sigma, orbit[:2])[0]
+        a2 = maximal_opnorm_estimate(sigma, orbit[:3])[0]
+        a3 = maximal_opnorm_estimate(sigma, orbit)[0]
         assert a1 <= a2 <= a3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="probe"):
             maximal_opnorm_estimate(ExponentFunction.constant(2.0), [])
+        with pytest.raises(ValueError, match="probe"):
+            maximal_opnorm_estimate(ExponentFunction.constant(2.0), [uniform_profile(0)])
         with pytest.raises(ValueError, match="sigma"):
-            maximal_opnorm_estimate(ExponentFunction.constant(1.0), [uniform_profile(0)])
+            maximal_opnorm_estimate(ExponentFunction.constant(1.0),
+                                    orbit_of(uniform_profile(0), 2))
         with pytest.raises(ValueError, match="zero"):
             maximal_opnorm_estimate(ExponentFunction.constant(2.0),
-                                    [GridFunction.zeros(BOX, H)])
+                                    orbit_of(GridFunction.zeros(BOX, H), 2))
 
 
 class TestDualWitness:
@@ -475,14 +494,15 @@ class TestDualWitness:
         f = GridFunction.zeros(BOX, H)
         f = f.with_samples(np.exp(-f.coords()[..., 0] ** 2))
         q2 = ExponentFunction.constant(2.0)
-        wit = dual_witness(f, q2)
+        wit, norm = dual_witness(f, q2)
+        assert norm == luxemburg_norm(f, q2)
         pairing = float(np.sum(f.samples * wit.samples) * H)
         assert pairing == pytest.approx(weighted_lp_quasinorm(f, 2.0), rel=1e-6)
         assert luxemburg_norm(wit, q2.conjugate()) == pytest.approx(1.0, abs=1e-6)
 
     def test_indicator_cubic_exponent(self):
         chi = Cube((0.5,), 1.0).indicator(BOX, H)
-        wit = dual_witness(chi, ExponentFunction.constant(3.0))
+        wit, _ = dual_witness(chi, ExponentFunction.constant(3.0))
         pairing = float(np.sum(chi.samples * wit.samples) * H)
         assert pairing == pytest.approx(1.0, rel=1e-6)
 
@@ -490,9 +510,9 @@ class TestDualWitness:
         qbar = ExponentFunction.log_decay(2.0, 1.0)
         f = GridFunction.zeros(BOX, H)
         f = f.with_samples(1.0 / (1.0 + f.coords()[..., 0] ** 2))
-        wit = dual_witness(f, qbar)
+        wit, norm = dual_witness(f, qbar)
         pairing = float(np.sum(f.samples * wit.samples) * H)
-        norm = luxemburg_norm(f, qbar)
+        assert norm == luxemburg_norm(f, qbar)
         assert pairing >= 0.5 * norm
         assert luxemburg_norm(wit, qbar.conjugate()) == pytest.approx(1.0, abs=1e-6)
 
