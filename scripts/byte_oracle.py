@@ -7,7 +7,7 @@ trials.csv}``, and prints two digests in the form of
 configs and one over the ``*_2d.json`` configs.  A change that keeps every
 report byte-identical leaves both digests unchanged.
 
-    python3 scripts/byte_oracle.py    # about 60 s on 2 CPUs
+    python3 scripts/byte_oracle.py    # about 27 s on 2 CPUs
 
 The verdict line of each config goes to standard error, followed by the
 wall time in seconds of the child's ``from fracharm.cli import cli_main``

@@ -10,13 +10,16 @@ center dropped; the dropped mass is O(h^gamma), the singularity integrable.
 On a 1-D grid the midpoint sum is not formed tuple by tuple.  The profile
 is a sum of exponentials, t^(-s) ~ sum_j w_j exp(-u_j t) on [h, m G h]
 (the trapezoid rule in log u; Beylkin-Monzon 2005, Trefethen-Weideman
-2014), and exp(-u t) is a product over the slots, so each node costs one
-exponential smoothing per slot: O(J m G) for J nodes in place of the
-(cell x product of supports) tensor.  The nodes are built in absolute units
-at every grid, so dilation covariance is tested on the operator itself.  On
-atoms with vanishing moments the result is within 2e-15 of the long-double
-dense sum in max norm.  The dense tensor stays for 2-D grids, for off-grid
-points, and for a profile other than the model's.
+2014), and exp(-u t) is a product over the slots, so each of J nodes costs
+one exponential smoothing per slot, not a (cell x product of supports)
+tensor.  It runs on the window of the slots' hulls: O(J S C) per hull of
+S cells in chunks of C = 64 and O(J W) over W window cells; outside, the
+far field is closed-form, (G/16 x J) @ (J x 32) in products of 64 nodes.
+The nodes are built in absolute units at every grid, so dilation
+covariance is tested on the operator itself.  On atoms with vanishing
+moments the result is within 2e-15 of the long-double dense sum in max
+norm.  The dense tensor stays for 2-D grids, for off-grid points, and for a
+profile other than the model's.
 
 Derivative-based checks (smoothness condition, Taylor remainder) use central
 finite differences with step equal to 1/16 of the distance to the diagonal,
@@ -116,12 +119,9 @@ _EINSUM = {1: "ca,a->c", 2: "cab,a,b->c", 3: "cabd,a,b,d->c", 4: "cabde,a,b,d,e-
 _SOE_STEP = 0.2
 _SOE_LOW_MASS = 1e-15
 _SOE_HIGH_EXP = 45.0
-# prefix sums weight a hull cell by up to e^(alpha S): rates past e^600 take
-# neighbour sums instead
-_PREFIX_MAX_EXP = 600.0
-# neighbour terms below e^(-50) of the nearest one are dropped
-_NEGLIGIBLE = math.exp(-50.0)
-# cells per row of the fine exponential table in _soe_block
+# cells per chunk of a slot's hull, whose product's shape is data-free
+_CHUNK = 64
+# cells per row of the fine exponential tables
 _DECAY_SPLIT = 16
 
 
@@ -136,100 +136,119 @@ def _soe_nodes(s: float, h: float, reach: int):
     return np.exp(x), _SOE_STEP * np.exp(s * x) / math.gamma(s)
 
 
-def _exp_smooth(v: np.ndarray, alpha: np.ndarray, decay: np.ndarray,
-                out: np.ndarray) -> None:
-    """E v(a) = sum over b != a of exp(-alpha_j |a - b|) v_b for the
-    increasing rates alpha_j (in cells), written into the (J, G) array
-    ``out``, given the table decay[j, d - 1] = exp(-alpha_j d); exact up to
-    rounding and the dropped e^(-50) tail, in O(J G) work.
+def _decay_factors(rate: np.ndarray, cells: int):
+    """exp(-rate_j d) for d < cells (in whole rows) as exp(-rate_j B q) times
+    exp(-rate_j r), d = B q + r: two short tables, not J * cells exponentials."""
+    B = _DECAY_SPLIT
+    return (np.exp(-rate[:, None] * (B * np.arange(-(-cells // B)))),
+            np.exp(-rate[:, None] * np.arange(B)))
 
-    Inside the hull of v's support (S cells), the rates with alpha S below
-    600 take prefix sums of e^(alpha b) v_b from either end; past that the
-    weights would leave the float range, and the larger rates, whose terms
-    die within a few cells, take neighbour sums.  Outside the hull E v
-    decays geometrically from the hull's end cell."""
-    nz = np.flatnonzero(v)
-    lo, hi = nz[0], nz[-1] + 1
-    S = hi - lo
-    # a power of two brings the data to unit size exactly, so e^(alpha b) v_b
-    # stays finite for any finite data
-    scale = 2.0 ** np.frexp(np.max(np.abs(v[lo:hi])))[1]
-    f = v[lo:hi] / scale
-    left = np.zeros((alpha.size, S))   # sum over b < a, inside the hull
-    right = np.zeros((alpha.size, S))  # sum over b > a
-    n_pre = int(np.searchsorted(alpha * S, _PREFIX_MAX_EXP))
-    if S > 1 and n_pre:
-        shrink = decay[:n_pre, : S - 1]
-        grow = np.ones((n_pre, S))
-        grow[:, 1:] = 1.0 / shrink
-        left[:n_pre, 1:] = np.cumsum(grow * f, axis=1)[:, :-1] * shrink
-        right[:n_pre, -2::-1] = np.cumsum(grow * f[::-1], axis=1)[:, :-1] * shrink
-    for d in range(1, S):
-        col = decay[n_pre:, d - 1]
-        n_d = int(np.count_nonzero(col > _NEGLIGIBLE))
-        if not n_d:
-            break
-        left[n_pre : n_pre + n_d, d:] += col[:n_d, None] * f[:-d]
-        right[n_pre : n_pre + n_d, :-d] += col[:n_d, None] * f[d:]
-    left *= scale
-    right *= scale
-    np.add(left, right, out=out[:, lo:hi])
-    np.multiply(decay[:, :lo][:, ::-1], v[lo] + right[:, :1], out=out[:, :lo])
-    np.multiply(decay[:, : v.size - hi], v[hi - 1] + left[:, -1:], out=out[:, hi:])
+
+def _chunked(v: np.ndarray):
+    """(first cell of v's hull, ``_exp_smooth``'s matrix per chunk of it)."""
+    C, nz = _CHUNK, np.flatnonzero(v)
+    K = -(-(nz[-1] + 1 - nz[0]) // C)
+    data = np.zeros((K, 3 * C))   # each chunk between C zeros either side
+    seg = v[nz[0] : nz[0] + K * C]
+    data[:, C : 2 * C].flat[: seg.size] = seg
+    shifted = np.lib.stride_tricks.sliding_window_view(data, C, axis=1)
+    mats = np.concatenate((shifted[:, C : 2 * C] + shifted[:, C:0:-1], data[:, C : 2 * C, None],
+                           data[:, 2 * C - 1 : C - 1 : -1, None]), axis=2)
+    mats[:, 0, :C] = 0.0
+    return nz[0], mats
+
+
+def _exp_smooth(lo: int, mats: np.ndarray, decay: np.ndarray,
+                out: np.ndarray, size: int) -> None:
+    """E v(a) = sum over b != a of exp(-alpha_j |a - b|) v_b on v's first
+    ``size`` cells, into out[:, :size] (which has room for C more), from
+    v's ``_chunked`` form and decay[j, d] = exp(-alpha_j d).  Each chunk of
+    C hull cells is one product of decay[:, :C] with the Toeplitz-plus-Hankel
+    entries v[a - d] + v[a + d] (row d = 0 zeroed) and the chunk forwards
+    and backwards, whose products are its edge moments.  Geometric carries
+    bring in the other chunks; past the hull E v is its edge moment times
+    exp(-alpha d).  No weight exceeds 1 and every term is kept."""
+    C, J, K = _CHUNK, decay.shape[0], mats.shape[0]
+    moments = decay[:, :C] @ mats
+    # carries by a doubling scan: seen[0, k] is chunks 0..k from the cell
+    # after chunk k, seen[1, k] chunks K-1-k.. from the cell before K-1-k
+    seen = decay[:, 1] * np.stack((moments[:, :, C + 1], moments[::-1, :, C]))
+    rho, s = decay[:, C], 1
+    while s < K:
+        seen[:, s:] += rho * seen[:, :-s]
+        rho, s = rho * rho, 2 * s
+    end = lo + K * C
+    hull = out[:, lo:end].reshape(J, K, C)
+    hull[...] = moments[:, :, :C].transpose(1, 0, 2)
+    hull[:, 1:] += seen[0, :-1].T[:, :, None] * decay[:, None, :C]
+    hull[:, :-1] += seen[1, -2::-1].T[:, :, None] * decay[:, None, C - 1 :: -1]
+    out[:, :lo] = seen[1, -1, :, None] * decay[:, :lo][:, ::-1]
+    out[:, end:size] = seen[0, -1, :, None] * decay[:, : max(size - end, 0)]
 
 
 def _soe_tuple_sum(kernel: KenigSteinKernel, flat, h: float) -> np.ndarray:
     """sum over non-singular tuples of t^(gamma - m) prod_i f_i(b_i) at every
     cell of a 1-D grid, by the factorization exp(-u t) = prod_i
-    exp(-u |x - y_i|): sum_j w_j (prod_i (f_i + E_j f_i) - prod_i f_i)."""
+    exp(-u |x - y_i|): sum_j w_j (prod_i (f_i + E_j f_i) - prod_i f_i), on
+    the window of the slots' hulls and one cell of zeros past each end.
+    Beyond that end cell each E_j f_i decays as exp(-alpha_j d), so the sum
+    is sum_j w_j P_j exp(-m alpha_j d), P_j the slot product at the cell."""
     m, G = kernel.m, flat[0].size
     u, w = _soe_nodes(m - kernel.gamma, h, m * G)
+    hulls = np.array([np.flatnonzero(v)[[0, -1]] for v in flat])
+    lo, hi = max(hulls[:, 0].min() - 1, 0), min(hulls[:, 1].max() + 2, G)
+    window = [v[lo:hi] for v in flat]
+    chunks = [_chunked(v) for v in window]
     total = np.zeros(G)
-    # nodes go in blocks of about 2^15 (node, cell) values, whose (J, G)
-    # arrays stay in cache.  They live in one workspace that every block of
-    # the call reuses: arrays over all nodes cost page faults on every call,
-    # and so do new arrays per block whenever the allocator hands their
-    # pages back between blocks, which depends on what the process freed
-    # before (with glibc, the largest block it has unmapped)
-    step = max(16, (1 << 15) // G)
+    edges = np.empty((2, u.size))
+    # blocks of at least 64 nodes and about 2^15 (node, cell) values share
+    # one workspace: new arrays per block cost page faults on freed pages
+    step = max(64, (1 << 15) // (hi - lo))
     J = min(step, u.size)
-    work = np.empty((3, J, G))
-    table = np.empty((J, -(-G // _DECAY_SPLIT), _DECAY_SPLIT))
+    work = np.empty((3, J, hi - lo + _CHUNK))
+    table = np.empty((J, -(-max(hi - lo, _CHUNK + 1) // _DECAY_SPLIT), _DECAY_SPLIT))
     for j0 in range(0, u.size, step):
-        total += _soe_block(flat, u[j0 : j0 + step] * h, w[j0 : j0 + step],
-                            work, table)
+        nodes = slice(j0, j0 + step)
+        total[lo:hi] += _soe_block(window, chunks, u[nodes] * h, w[nodes],
+                                   work, table, edges[:, nodes])
+    # the far field at d = B q + r from both end cells, C nodes per product:
+    # a longer inner dimension gives bits that depend on BLAS's thread count
+    coarse, fine = _decay_factors(m * u * h, max(lo, G - hi) + 1)
+    near = ((w * edges).T[:, :, None] * fine[:, None]).reshape(u.size, -1)
+    far = sum(coarse[j : j + _CHUNK].T @ near[j : j + _CHUNK]
+              for j in range(0, u.size, _CHUNK))
+    far = far.reshape(-1, 2, _DECAY_SPLIT).transpose(1, 0, 2).reshape(2, -1)
+    total[:lo], total[hi:] = far[0, lo:0:-1], far[1, 1 : G - hi + 1]
     return total
 
 
-def _soe_block(flat, alpha: np.ndarray, w: np.ndarray, work: np.ndarray,
-               table: np.ndarray) -> np.ndarray:
-    """One block's share sum_j w_j (prod_i (f_i + E_j f_i) - prod_i f_i),
-    for the rates alpha_j = u_j h, computed in the first alpha.size rows of
-    the workspace ``work`` (three (J, G) arrays) and ``table``."""
-    J, G = alpha.size, flat[0].size
-    # exp(-alpha d) = exp(-alpha B q) exp(-alpha r) for d = B q + r: two
-    # short tables of exponentials and one product, not J * G exponentials
-    B = _DECAY_SPLIT
-    coarse = np.exp(-alpha[:, None] * (B * np.arange(table.shape[1])))
-    fine = np.exp(-alpha[:, None] * np.arange(B))
-    decay = np.multiply(coarse[:, :, None], fine[:, None, :],
-                        out=table[:J]).reshape(J, -1)[:, 1:G]
-    acc, e, tmp = work[:, :J]
+def _soe_block(window, chunks, alpha: np.ndarray, w: np.ndarray,
+               work: np.ndarray, table: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """One block's share of the window's sum for the rates alpha_j = u_j h, in
+    rows of ``work`` and ``table``; slot products at the end cells go to ``edges``."""
+    J, W = alpha.size, window[0].size
+    coarse, fine = _decay_factors(alpha, table.shape[1] * _DECAY_SPLIT)
+    decay = np.multiply(coarse[:, :, None], fine[:, None], out=table[:J]).reshape(J, -1)
+    full = work[:, :J]
+    acc, e, tmp = full[:, :, :W]
     # acc is prod over the slots so far minus its all-singular term; each
     # slot extends it, acc (v + e) + diag e, without ever adding that term in
-    _exp_smooth(flat[0], alpha, decay, acc)
-    diag = flat[0]
-    for v in flat[1:-1]:
-        _exp_smooth(v, alpha, decay, e)
+    _exp_smooth(*chunks[0], decay, full[0], W)
+    diag = window[0]
+    for v, chunked in zip(window[1:-1], chunks[1:-1]):
+        _exp_smooth(*chunked, decay, full[1], W)
         acc *= np.add(v, e, out=tmp)
         acc += np.multiply(diag, e, out=tmp)
         diag = diag * v
-    if len(flat) == 1:
+    if len(window) == 1:
+        edges[:] = acc[:, [0, -1]].T
         return w @ acc
-    v = flat[-1]
-    _exp_smooth(v, alpha, decay, e)
+    v = window[-1]
+    _exp_smooth(*chunks[-1], decay, full[1], W)
     # the last slot's extension, applied after the sum over nodes
-    return v * (w @ acc) + w @ np.multiply(acc, e, out=tmp) + diag * (w @ e)
+    np.multiply(acc, e, out=tmp)
+    edges[:] = tmp[:, [0, -1]].T
+    return v * (w @ acc) + w @ tmp + diag * (w @ e)
 
 
 def _dense_tuple_sum(kernel: KenigSteinKernel, X, cells, flat, sup) -> np.ndarray:
@@ -278,12 +297,13 @@ def apply_frac_operator(kernel: KenigSteinKernel, fs, points=None):
     With ``points=None`` evaluates at every cell center and returns a
     GridFunction; otherwise returns the value array at the given points of
     shape (P, n).  On a 1-D grid the model kernel factorizes over a
-    sum-of-exponentials quadrature of its profile, at O(J m G) cost for J
-    nodes (about 100 to 400) and G cells.  Off-grid points, 2-D grids and a
-    profile other than the model's take the dense tensor, whose cost grows
-    with the product of slot support sizes, so the multilinearity times
-    dimension is capped at 4.  Tuples at t = 0 are dropped; only cell
-    centers, not points off the grid, get the subdivision term.
+    sum-of-exponentials quadrature of its profile (J of 100 to 400 nodes)
+    on the window of the slots' hulls: O(J S 64) per hull of S cells and
+    O(J m W) over W window cells, with a closed-form far field outside.
+    Off-grid points, 2-D grids and a profile other than the model's take
+    the dense tensor, whose cost grows with the product of slot support
+    sizes, so the multilinearity times dimension is capped at 4.  Tuples at
+    t = 0 are dropped; only cell centers get the subdivision term.
     """
     fs = list(fs)
     if len(fs) != kernel.m:

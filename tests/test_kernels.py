@@ -1,9 +1,15 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracharm
 from fracharm.grid import Cube, GridFunction, GridMismatchError
 from fracharm.kernels import (
     KenigSteinKernel,
@@ -246,6 +252,73 @@ class TestFactorizedOperator:
         ref = dense_reference(kernel, fs)
         err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
         assert err <= 1e-13
+
+    @pytest.mark.parametrize("m,G,gamma,hulls", [
+        (2, 256, 0.5, [(0, 40), (10, 70)]),            # from cell 0: no left far field
+        (2, 256, 1.3, [(200, 56), (150, 106)]),        # to cell G - 1: no right far field
+        (2, 256, 1.5, [(20, 30), (150, 40)]),          # disjoint hulls, a gap between
+        (2, 512, 0.5, [(100, 65), (120, 131)]),        # C + 1 and 2C + 3 cells
+        (1, 256, 0.5, [(77, 1)]),                      # one-cell supports
+        (2, 256, 1.0, [(40, 1), (40, 1)]),
+        (2, 256, 1.0, [(40, 1), (41, 1)]),
+        (2, 256, 0.25, [(3, 1), (250, 1)]),
+        (2, 32, 1.0, [(0, 32), (5, 20)]),              # a grid shorter than a chunk
+        (3, 128, 1.3, [(10, 3), (30, 20), (5, 70)]),   # unequal hulls
+        (4, 128, 0.5, [(60, 1), (50, 7), (20, 16), (40, 66)]),
+    ])
+    def test_edge_layouts_match_dense_reference(self, m, G, gamma, hulls):
+        rng = np.random.default_rng([m, G, int(100 * gamma), *hulls[-1]])
+        fs = []
+        for start, size in hulls:
+            v = np.zeros(G)
+            v[start : start + size] = rng.standard_normal(size)
+            fs.append(GridFunction(((-4.0, 4.0),), 8.0 / G, v))
+        kernel = ks(m, 1, gamma)
+        got = apply_frac_operator(kernel, fs).samples
+        ref = dense_reference(kernel, fs)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# one operator call per (m, G, slot support), on fixed random data; prints
+# the sha256 of the concatenated outputs.  The last call has a far field of
+# about 2700 cells on one side and 1300 on the other
+_THREAD_PROBE = '''
+import hashlib
+import numpy as np
+from fracharm.grid import GridFunction
+from fracharm.kernels import KenigSteinKernel, apply_frac_operator
+digest = hashlib.sha256()
+for m, G, S in ((2, 256, 127), (2, 1024, 335), (2, 4096, 1024), (1, 4096, 4096),
+                 (1, 4096, 64)):
+    rng = np.random.default_rng([m, G, S])
+    fs = []
+    for i in range(m):
+        v = np.zeros(G)
+        start = (G - S) // 3 + i * (S // 4)
+        v[start : start + S] = rng.standard_normal(S)
+        fs.append(GridFunction(((-4.0, 4.0),), 8.0 / G, v))
+    out = apply_frac_operator(KenigSteinKernel(m=m, n=1, gamma=0.5), fs)
+    digest.update(out.samples.tobytes())
+print(digest.hexdigest())
+'''
+
+
+def test_blas_threads_do_not_change_the_bytes():
+    """The 1-D operator's bits do not depend on the BLAS thread count: two
+    fresh interpreters, at one and at two OpenBLAS threads, give outputs
+    with equal digests."""
+    src = str(Path(fracharm.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+    assert digests[0] == digests[1]
 
 
 def brute_midpoint(kernel, fs, X):
