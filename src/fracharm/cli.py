@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig
-from .experiments import EXPERIMENT_SUMMARIES, EXPERIMENTS, HypothesisError, run_experiment
+from .experiments import EXPERIMENTS, HypothesisError, lookup, run_experiment
 from .grid import Cube, GridFunction, tile_count, weighted_lp_quasinorm
 from .kernels import (
     KenigSteinKernel,
@@ -108,9 +108,7 @@ def _print_json(payload: dict):
 
 
 def _cmd_verify(args) -> int:
-    if args.experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {args.experiment!r} (known: {known})")
+    lookup(args.experiment)
     cfg = ExperimentConfig.from_json(args.config)
     if cfg.experiment != args.experiment:
         raise ValueError(f"config file is for {cfg.experiment!r}, "
@@ -256,15 +254,14 @@ def _pointwise_diagnostics(kernel: KenigSteinKernel, order: int, seed: int) -> d
 
 
 def _cmd_kernel_check(args) -> int:
-    kernel = KenigSteinKernel(m=args.m, n=args.n, gamma=args.gamma,
-                              order=args.order)
+    kernel = KenigSteinKernel(m=args.m, n=args.n, gamma=args.gamma)
     size = kernel_size_check(kernel, args.samples, seed=args.seed)
     smooth = kernel_smoothness_check(kernel, args.order,
                                      max(100, args.samples // 2),
                                      seed=args.seed)
     diag = _pointwise_diagnostics(kernel, args.order, args.seed)
     gates = [Gate(name, diag[name], "<=", DRIFT_TOL) for name in ("product_drift", "taylor_drift")]
-    _print_json({"kernel": kernel.descriptor(),
+    _print_json({"kernel": dict(kernel.descriptor(), N=args.order),
                  "size_constant": size,
                  "smoothness_constant": smooth,
                  "diagnostics": diag,
@@ -275,7 +272,7 @@ def _cmd_kernel_check(args) -> int:
 def _cmd_list(_args) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        print(f"{name:<{width}}  {EXPERIMENT_SUMMARIES[name]}")
+        print(f"{name:<{width}}  {EXPERIMENTS[name].summary}")
     return 0
 
 
@@ -295,8 +292,9 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, HypothesisError) as e:
-        # bad input, ConfigError and library preconditions included: exit 2
+    except (ValueError, OSError, HypothesisError, MemoryError) as e:
+        # bad input, ConfigError, library preconditions and a grid too large
+        # to allocate included: exit 2
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,8 @@
 """Experiment registry: measure both sides of each bound over deterministic corpora.
 
+``EXPERIMENTS`` holds one ``Experiment`` record per id: its summary and
+either its plan or its run function; every report is named by its id.
+
 Every run draws its random data once at base scale and then dilates grid,
 cubes, data and power-weight centres jointly by 2**k across the sweep.
 Joint dilation keeps the cell count fixed (cost linear in sweep length) and
@@ -18,18 +21,20 @@ HypothesisError; a config that violates them never produces a report.
 Weights are dilated and sampled once per sweep scale, before the trials
 (``_weight_grids``), and every trial at that scale reads the same grid.
 
-Every ratio run hands ``_ratio_report``, the one loop over trials and sweep
-scales, a ``draw(t)`` that builds trial t's data once at base scale and a
-``measure`` that returns its rows at one sweep scale.  Trials run in trial
-order, each through the sweep in order, in one thread, so reports and CSV
-files are byte-deterministic for a given config and seed.  A trial whose
-side overflows to inf or nan is refused with a HypothesisError naming the
-trial and scale, never scored.
+Each ratio id's ``plan(cfg)`` runs its hypothesis checks and returns a
+``RatioPlan``: ``draw(t)`` builds trial t alone at base scale, and
+``measure`` returns its rows at one sweep scale.  ``_ratio_report``, the one
+loop over trials and sweep scales, scores a plan: trials in trial order,
+each through the sweep in order, in one thread, so reports and CSV files
+are byte-deterministic for a given config and seed.  A trial whose side
+overflows to inf or nan is refused with a HypothesisError naming the trial
+and scale, never scored.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,20 +68,8 @@ from .weights import (
     weight_cube_family,
 )
 
-__all__ = [
-    "HypothesisError",
-    "run_star_sum",
-    "run_tail_sum",
-    "run_annuli",
-    "run_fefferman_stein",
-    "run_frac_hardy",
-    "run_bounded_slots",
-    "run_var_frac_hardy",
-    "run_extrapolation",
-    "run_experiment",
-    "EXPERIMENTS",
-    "EXPERIMENT_SUMMARIES",
-]
+__all__ = ["EXPERIMENTS", "Experiment", "HypothesisError", "RatioPlan", "lookup",
+           "run_experiment"]
 
 
 class HypothesisError(RuntimeError):
@@ -214,29 +207,37 @@ def _dilation_drift(rows) -> float:
     return worst
 
 
-def _ratio_report(name: str, cfg: ExperimentConfig, draw, measure,
-                  metadata) -> RatioReport:
-    """The one loop over trials and sweep scales of every ratio run.  For
-    each trial t in order, ``draw(t)`` builds the trial's data at base scale
-    once, and ``measure(t, data, k, box_k, h_k)`` returns the rows of scale
-    k as (trial, lhs, rhs) triples, for each k in sweep order.  Once a trial
-    is measured, its first row with a non-finite side refuses the run;
-    otherwise the rows are scored.  ``metadata()`` runs once every trial is
-    done, so it can read the side-records that ``measure`` fills in."""
+class RatioPlan(NamedTuple):
+    """A ratio run past its hypothesis checks: ``draw(t)`` builds trial t,
+    needing no other trial, ``measure(t, data, k, box_k, h_k)`` returns its
+    rows at sweep scale k as (trial, lhs, rhs) triples, and ``metadata()``
+    gives the report's metadata."""
+
+    draw: Callable
+    measure: Callable
+    metadata: Callable
+
+
+def _ratio_report(cfg: ExperimentConfig, plan: RatioPlan) -> RatioReport:
+    """Score a plan, named by its registry id ``cfg.experiment``: draw each
+    trial once, in order, and measure it at each k in sweep order.  A
+    trial's first row with a non-finite side refuses the run.
+    ``plan.metadata()`` runs after the last trial, so it can read the
+    side-records that ``measure`` fills in."""
     rows = []
     for t in range(cfg.corpus.count):
-        data = draw(t)
+        data = plan.draw(t)
         trial = [TrialRow.make(i, k, lhs, rhs)
                  for k, box_k, h_k in _sweep(cfg)
-                 for i, lhs, rhs in measure(t, data, k, box_k, h_k)]
+                 for i, lhs, rhs in plan.measure(t, data, k, box_k, h_k)]
         for r in trial:
             if not (math.isfinite(r.lhs) and math.isfinite(r.rhs)):
                 raise HypothesisError(
                     f"overflow: a side is not finite at trial {r.trial}, "
                     f"scale k={r.scale_k} (lhs={r.lhs!r}, rhs={r.rhs!r})")
         rows += trial
-    meta = dict(metadata(), dilation_drift=_dilation_drift(rows))
-    return RatioReport.from_rows(name, rows, cfg.slope_tol, meta)
+    meta = dict(plan.metadata(), dilation_drift=_dilation_drift(rows))
+    return RatioReport.from_rows(cfg.experiment, rows, cfg.slope_tol, meta)
 
 
 def _slots(cfg: ExperimentConfig, *, bounded: int | None = None,
@@ -275,7 +276,7 @@ def _inv_target(cfg: ExperimentConfig, ps, gamma: float, n: int) -> float:
 # -- cube-sum bound: dilated indicators with a side-power gain ---------------------
 
 
-def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
+def plan_star_sum(cfg: ExperimentConfig) -> RatioPlan:
     """|| sum lam_j side_j^gamma chi_{Q_j*} ||_{L^q(w^{q/p})}
     against || sum lam_j chi_{Q_j} ||_{L^p(w)}."""
     p, q = _lebesgue_pair(cfg)
@@ -305,7 +306,7 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
         return [(t, weighted_lp_quasinorm(f_lhs, q, w_qp[k]),
                  weighted_lp_quasinorm(f_rhs, p, w_p[k]))]
 
-    return _ratio_report("star-sum", cfg, draw, measure, lambda: {
+    return RatioPlan(draw, measure, lambda: {
         "p": p, "q": q, "gamma": gamma, "n": n,
         "weight": w.descriptor(),
         "rh": rh.to_json_dict(),
@@ -315,12 +316,7 @@ def run_star_sum(cfg: ExperimentConfig) -> RatioReport:
 # -- tail-sum bound: off-star power tails with an analytic remainder ---------------
 
 
-def _power_tail_integral(dist: float, a: float) -> float:
-    """Integral of u^(-a) over u > dist, for a > 1."""
-    return dist ** (1.0 - a) / (a - 1.0)
-
-
-def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
+def plan_tail_sum(cfg: ExperimentConfig) -> RatioPlan:
     """|| sum lam_j side_j^eps |x-c_j|^(gamma-eps) chi_{(Q_j*)^c} ||_{L^q(w^{q/p})}
     against the plain indicator sum in L^p(w); the part of the left integral
     beyond the box is added as a closed-form power-tail bound."""
@@ -351,7 +347,8 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
                  "the tail bound assumes the weight is centered at the origin")
         b_eff = desc["exponent"] * q / p
     a = (eps - gamma) * q
-    _require(a - b_eff > n, "the weighted tail integral must converge")
+    a_w = a - b_eff
+    _require(a_w > n, "the weighted tail integral must converge")
     lo_box, hi_box = cfg.box[0]
     if b_eff > 0.0:
         _require(lo_box < 0.0 < hi_box,
@@ -387,8 +384,8 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
             amp = lam * cube.side ** eps
             for dist, edge in ((hi_k - c, abs(hi_k)), (c - lo_k, abs(lo_k))):
                 theta = max(1.0, edge / dist)
-                integral = (w_gain * theta ** b_eff
-                            * _power_tail_integral(dist, a - b_eff))
+                # the integral of u^(-a_w) over u > dist, a_w = a - b_eff > 1
+                integral = w_gain * theta ** b_eff * (dist ** (1.0 - a_w) / (a_w - 1.0))
                 tail_terms.append(amp ** q * integral)
         # the tails live beyond the box, disjoint from the window part,
         # so the q-th-power modulars add exactly for every q > 0
@@ -399,7 +396,7 @@ def run_tail_sum(cfg: ExperimentConfig) -> RatioReport:
         f_rhs = _indicator_sum(cubes_k, lambdas, box_k, h_k)
         return [(t, total, weighted_lp_quasinorm(f_rhs, p, w_p[k]))]
 
-    return _ratio_report("tail-sum", cfg, draw, measure, lambda: {
+    return RatioPlan(draw, measure, lambda: {
         "p": p, "q": q, "gamma": gamma, "epsilon": eps, "r": r,
         "weight": w.descriptor(),
         "ap": ap.to_json_dict(),
@@ -527,14 +524,14 @@ def run_annuli(cfg: ExperimentConfig) -> AnnuliReport:
         "doubling_drift": doubling_drift,
         "per_scale": {str(k): list(v) for k, v in sorted(per_k_bounds.items())},
     }
-    return AnnuliReport("annuli", s, band, lower, upper, per_level, per_cube,
+    return AnnuliReport(cfg.experiment, s, band, lower, upper, per_level, per_cube,
                         partition_all, scale_drift, gates, tuple(rows), metadata)
 
 
 # -- vector-valued maximal bounds --------------------------------------------------
 
 
-def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
+def plan_fefferman_stein(cfg: ExperimentConfig) -> RatioPlan:
     """||(sum M f_j^r)^{1/r}||_{L^p(w)} vs ||(sum f_j^r)^{1/r}||_{L^p(w)},
     plus the off-diagonal fractional pairing L^p(w^p) -> L^q(w^q)."""
     _require(cfg.p is not None and cfg.p > 1, "need 1 < p < inf")
@@ -587,21 +584,10 @@ def run_fefferman_stein(cfg: ExperimentConfig) -> RatioReport:
     }
     if offdiag:
         metadata.update(gamma=gamma, q=q, apq=apq.to_json_dict())
-    return _ratio_report("fefferman-stein", cfg, draw, measure, lambda: metadata)
+    return RatioPlan(draw, measure, lambda: metadata)
 
 
 # -- the fractional operator on weighted Hardy products ----------------------------
-
-
-def _atomic_slots(cfg: ExperimentConfig, t: int, m: int, N: int):
-    fams = []
-    for i in range(m):
-        cnt = _atom_count(cfg, np.random.default_rng([cfg.corpus.seed, 5, t, i]))
-        fams.append(random_atomic_family(
-            _subseed(cfg.corpus.seed, 5, t, i), cnt, box=cfg.box, h=cfg.h,
-            side_exponents=cfg.corpus.side_exponents,
-            lambda_range=cfg.corpus.lambda_range, order=N))
-    return fams
 
 
 def _bounded_slot(cfg: ExperimentConfig, t: int, j: int) -> GridFunction:
@@ -619,18 +605,22 @@ def _bounded_slot(cfg: ExperimentConfig, t: int, j: int) -> GridFunction:
     return zero.with_samples(acc)
 
 
-def _operator_report(name: str, cfg: ExperimentConfig, N: int, lhs_norm,
-                     slot_norm, metadata, *, bounded: int = 0) -> RatioReport:
-    """The three operator runs, on the kernel of cfg's m, n and gamma.  Each
-    trial draws the atomic slots (moment order N) and ``bounded`` sup-norm
-    slots; at every sweep scale k the operator is applied once to the
-    dilated data: the lhs is ``lhs_norm(T, k)``, and the rhs is the product
-    of the sup norms times ``slot_norm(i, f_i, k, mollifier)`` over the
-    atomic slots, in slot order."""
+def _operator_plan(cfg: ExperimentConfig, N: int, lhs_norm, slot_norm,
+                   metadata, *, bounded: int = 0) -> RatioPlan:
+    """The plan of the three operator runs, on the kernel of cfg's m, n and
+    gamma.  Each trial draws the atomic slots (moment order N) and
+    ``bounded`` sup-norm slots; at every sweep scale k the operator is
+    applied once to the dilated data: the lhs is ``lhs_norm(T, k)``, and the
+    rhs is the product of the sup norms times ``slot_norm(i, f_i, k,
+    mollifier)`` over the atomic slots, in slot order."""
     kernel = KenigSteinKernel(cfg.m, cfg.n, cfg.gamma)
 
     def draw(t: int):
-        fams = _atomic_slots(cfg, t, cfg.m - bounded, N)
+        fams = [random_atomic_family(
+            _subseed(cfg.corpus.seed, 5, t, i),
+            _atom_count(cfg, np.random.default_rng([cfg.corpus.seed, 5, t, i])),
+            box=cfg.box, h=cfg.h, side_exponents=cfg.corpus.side_exponents,
+            lambda_range=cfg.corpus.lambda_range, order=N) for i in range(cfg.m - bounded)]
         gs = [_bounded_slot(cfg, t, j) for j in range(bounded)]
         return fams, gs, math.prod(g.sup_norm() for g in gs)
 
@@ -644,10 +634,10 @@ def _operator_report(name: str, cfg: ExperimentConfig, N: int, lhs_norm,
             rhs *= slot_norm(i, f, k, mol)
         return [(t, lhs, rhs)]
 
-    return _ratio_report(name, cfg, draw, measure, metadata)
+    return RatioPlan(draw, measure, metadata)
 
 
-def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
+def plan_frac_hardy(cfg: ExperimentConfig) -> RatioPlan:
     """||T(f_1..f_m)||_{L^q(wbar)} against prod_i ||f_i||_{H^{p_i}(w_i)} over
     atomic corpora.  The kernel's pointwise product bound and Taylor
     remainder are properties of the kernel alone; ``fracharm kernel-check``
@@ -694,8 +684,8 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
     wbar = _weight_grids(cfg, *((wi, q / pi) for wi, pi in zip(weights, ps)))
     w_slots = [_weight_grids(cfg, (wi, 1.0)) for wi in weights]
 
-    return _operator_report(
-        "frac-hardy", cfg, N,
+    return _operator_plan(
+        cfg, N,
         lambda T, k: weighted_lp_quasinorm(T, q, wbar[k]),
         lambda i, f, k, mol: hardy_quasinorm(f, ps[i], w_slots[i][k], mol),
         lambda: {
@@ -710,7 +700,7 @@ def run_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
 # -- sup-norm slots at the integrability endpoint ----------------------------------
 
 
-def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
+def plan_bounded_slots(cfg: ExperimentConfig) -> RatioPlan:
     """||T(f_1..f_{m-l}, g_1..g_l)||_{L^q} against
     prod ||f_i||_{H^{p_i}} * prod sup|g_j| for bounded g_j."""
     l = cfg.bounded_slots
@@ -720,8 +710,8 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
     q = 1.0 / _inv_target(cfg, ps, gamma, n)
     N = 1
 
-    return _operator_report(
-        "bounded-slots", cfg, N,
+    return _operator_plan(
+        cfg, N,
         lambda T, k: weighted_lp_quasinorm(T, q),
         lambda i, f, k, mol: hardy_quasinorm(f, ps[i], None, mol),
         lambda: {
@@ -733,7 +723,7 @@ def run_bounded_slots(cfg: ExperimentConfig) -> RatioReport:
 # -- variable-exponent targets -----------------------------------------------------
 
 
-def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
+def plan_var_frac_hardy(cfg: ExperimentConfig) -> RatioPlan:
     """Luxemburg norm of T(f_1..f_m) in L^{q(.)} against the product of
     Luxemburg norms of the smooth maximal functions in L^{p_i(.)}.  The
     paper truncates T before extrapolating only to make the left side
@@ -753,8 +743,8 @@ def run_var_frac_hardy(cfg: ExperimentConfig) -> RatioReport:
 
     N = 1
 
-    return _operator_report(
-        "var-frac-hardy", cfg, N,
+    return _operator_plan(
+        cfg, N,
         lambda T, k: luxemburg_norm(T, target),
         lambda i, f, k, mol: luxemburg_norm(grand_maximal(f, mol), exponents[i]),
         lambda: {
@@ -893,43 +883,54 @@ def run_extrapolation(cfg: ExperimentConfig) -> ChainReport:
         "tuple": {"atoms_per_slot": cfg.corpus.atoms_per_trial[1],
                   "seed": cfg.corpus.seed},
     }
-    return ChainReport.from_steps("extrapolation", steps, final,
+    return ChainReport.from_steps(cfg.experiment, steps, final,
                                   hypothesis_constant, metadata)
 
 
 # -- registry ----------------------------------------------------------------------
 
+
+class Experiment(NamedTuple):
+    """An id's summary and either its plan or its run function."""
+
+    summary: str
+    plan: Callable | None = None
+    run: Callable | None = None
+
+
 EXPERIMENTS = {
-    "star-sum": run_star_sum,
-    "tail-sum": run_tail_sum,
-    "annuli": run_annuli,
-    "fefferman-stein": run_fefferman_stein,
-    "frac-hardy": run_frac_hardy,
-    "bounded-slots": run_bounded_slots,
-    "var-frac-hardy": run_var_frac_hardy,
-    "extrapolation": run_extrapolation,
+    "star-sum": Experiment("dilated-indicator sums with a side-power gain, "
+                           "L^q(w^{q/p}) vs L^p(w)", plan_star_sum),
+    "tail-sum": Experiment("off-star power tails with an analytic beyond-the-box "
+                           "remainder", plan_tail_sum),
+    "annuli": Experiment("two-sided constants for the ring tiling of a star "
+                         "complement", run=run_annuli),
+    "fefferman-stein": Experiment("vector-valued maximal bound and the off-diagonal "
+                                  "pairing", plan_fefferman_stein),
+    "frac-hardy": Experiment("the fractional operator on weighted Hardy products",
+                             plan_frac_hardy),
+    "bounded-slots": Experiment("sup-norm slots at the integrability endpoint",
+                                plan_bounded_slots),
+    "var-frac-hardy": Experiment("variable-exponent targets: Luxemburg norms of the "
+                                 "operator and of the smooth maximal functions",
+                                 plan_var_frac_hardy),
+    "extrapolation": Experiment("the constructive dual-witness / iteration proof "
+                                "chain", run=run_extrapolation),
 }
 
-EXPERIMENT_SUMMARIES = {
-    "star-sum": "dilated-indicator sums with a side-power gain, L^q(w^{q/p}) vs L^p(w)",
-    "tail-sum": "off-star power tails with an analytic beyond-the-box remainder",
-    "annuli": "two-sided constants for the ring tiling of a star complement",
-    "fefferman-stein": "vector-valued maximal bound and the off-diagonal pairing",
-    "frac-hardy": "the fractional operator on weighted Hardy products",
-    "bounded-slots": "sup-norm slots at the integrability endpoint",
-    "var-frac-hardy": "variable-exponent targets: Luxemburg norms of the operator and of the smooth maximal functions",
-    "extrapolation": "the constructive dual-witness / iteration proof chain",
-}
+
+def lookup(name: str) -> Experiment:
+    """The registry record of an experiment id; an unknown id is refused."""
+    if name not in EXPERIMENTS:
+        raise HypothesisError(f"unknown experiment {name!r} "
+                              f"(known: {', '.join(sorted(EXPERIMENTS))})")
+    return EXPERIMENTS[name]
 
 
 def run_experiment(cfg: ExperimentConfig):
-    fn = EXPERIMENTS.get(cfg.experiment)
-    if fn is None:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise HypothesisError(
-            f"unknown experiment {cfg.experiment!r} (known: {known})")
+    entry = lookup(cfg.experiment)
     try:
-        return fn(cfg)
+        return _ratio_report(cfg, entry.plan(cfg)) if entry.plan else entry.run(cfg)
     except ValueError as e:
         # a library precondition the hypothesis checks did not reach is
         # still a config the run cannot take: exit 2, never a traceback

@@ -73,22 +73,18 @@ class KenigSteinKernel:
     dimension n with fractional order gamma in (0, mn).
 
     ``evaluate`` is derived from ``profile``, a function of the summed slot
-    distances.  ``order`` records the smoothness order the harness intends
-    to use.
+    distances.
     """
 
     m: int
     n: int
     gamma: float
-    order: int = 1
 
     def __post_init__(self):
         if self.m < 1 or self.n not in (1, 2):
             raise ValueError("need m >= 1 and n in {1, 2}")
         if not 0 < self.gamma < self.m * self.n:
             raise ValueError(f"gamma must lie in (0, {self.m * self.n})")
-        if self.order < 1:
-            raise ValueError("smoothness order must be at least 1")
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         return _fast_power(t, self.gamma - self.m * self.n)
@@ -102,7 +98,7 @@ class KenigSteinKernel:
 
     def descriptor(self) -> dict:
         return {"kind": "kenig-stein", "m": self.m, "n": self.n,
-                "gamma": self.gamma, "N": self.order, "params": {}}
+                "gamma": self.gamma, "params": {}}
 
 
 # -- operator application -----------------------------------------------------

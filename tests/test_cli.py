@@ -411,6 +411,9 @@ class TestKernelCheck:
         payload = json.loads(capsys.readouterr().out)
         diag = payload["diagnostics"]
         assert code == 0
+        # the kernel needs no order; the JSON's N is the --order it ran at
+        assert payload["kernel"] == {"kind": "kenig-stein", "m": 2, "n": 1,
+                                     "gamma": 0.5, "N": 2, "params": {}}
         assert [(g["name"], g["value"], g["relation"], g["bound"], g["passed"])
                 for g in payload["gates"]] == [
             ("product_drift", diag["product_drift"], "<=", DRIFT_TOL, True),
@@ -517,6 +520,8 @@ class TestLibraryPreconditions:
           "--hi", "1", "--h", "5e-324"], "not tiled by side 2^-1071"),
         (["kernel-check", "--m", "2", "--n", "1", "--gamma", "0.5",
           "--samples", "0"], "at least one sample"),
+        (["kernel-check", "--m", "2", "--n", "1", "--gamma", "0.5",
+          "--order", "0"], "smoothness order must be at least 1"),
         (["verify", "star-sum", "--config", "{config}", "--out", "{csv}"],
          "File exists"),
         (["verify", "star-sum", "--config", "{config}", "--seed", "-1"],
@@ -524,8 +529,8 @@ class TestLibraryPreconditions:
     ], ids=["norm-zero-step", "norm-negative-p", "weight-nonintegrable",
             "weight-window-too-small", "weight-reversed-window",
             "weight-zero-step", "weight-window-overflows", "weight-step-overflows",
-            "weight-subnormal-step", "kernel-zero-samples", "verify-out-is-a-file",
-            "verify-negative-seed"])
+            "weight-subnormal-step", "kernel-zero-samples", "kernel-order-zero",
+            "verify-out-is-a-file", "verify-negative-seed"])
     def test_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch,
                                      argv, message):
         def must_not_run(cfg):
@@ -541,6 +546,18 @@ class TestLibraryPreconditions:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys):
+        # h = 2^-46 on the default box asks for 2^50 cells, 8 PiB of floats:
+        # numpy refuses the request before allocating anything
+        payload = json.loads((CONFIG_DIR / "star_sum_single.json").read_text())
+        config = write_config(tmp_path, dict(payload, grid={"h": 2.0 ** -46}))
+        code = cli_main(["verify", "star-sum", "--config", config,
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Unable to allocate" in err
 
     @pytest.mark.parametrize("side", [-10, -9])
     def test_cubes_without_a_cell_exit_two(self, tmp_path, capsys, side):

@@ -23,8 +23,8 @@ from fracharm.kernels import (
 )
 
 
-def ks(m, n, gamma, order=1):
-    return KenigSteinKernel(m=m, n=n, gamma=gamma, order=order)
+def ks(m, n, gamma):
+    return KenigSteinKernel(m=m, n=n, gamma=gamma)
 
 
 class ScaledKernel(KenigSteinKernel):
@@ -51,9 +51,9 @@ class TestKernelSpec:
         ks(2, 1, 1.5)
 
     def test_descriptor_keys(self):
-        d = ks(2, 1, 1.0, order=3).descriptor()
+        d = ks(2, 1, 1.0).descriptor()
         assert d == {"kind": "kenig-stein", "m": 2, "n": 1, "gamma": 1.0,
-                     "N": 3, "params": {}}
+                     "params": {}}
 
     def test_evaluate_matches_formula(self):
         k = ks(2, 1, 1.0)
@@ -456,7 +456,7 @@ class TestTaylor:
         assert p[0] == pytest.approx(2.0 ** -0.5, rel=1e-14)
 
     def test_first_coefficient_matches_hand_derivative(self):
-        k = ks(1, 1, 0.5, order=2)
+        k = ks(1, 1, 0.5)
         p = _taylor_polynomial(k, self.X, np.array([[[0.1]]]), 0, self.CENTER, 2)
         first = (p[0] - k.evaluate(self.X, np.array([[[0.0]]]))[0]) / 0.1
         # d/dy |x-y|^(-1/2) at y=0, x=2 is +0.5 * 2^(-3/2)
